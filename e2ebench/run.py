@@ -12,12 +12,15 @@ sends the next op only after the previous one returns.
 
 The run builds the seeded inputs and an in-memory reference, then spends
 ``--seconds`` on one untimed warm-up episode and as many timed episodes
-as fit (at least three, and enough ops for the tail percentile).  Each
-episode sets up a fresh world (``setup_s``) and runs the workload's
-fixed op count.  Every episode's builds must match the reference and
-its exact counts must repeat, else the run is not correct and exits 1.
+as fit (at least the workload's ``min_episodes``, and enough ops for
+the tail percentile).  Each episode sets up a fresh world (``setup_s``)
+and runs the workload's fixed op count.  Every episode's builds must
+match the reference and its exact counts must repeat, else the run is
+not correct and exits 1.
 
-``--trace 0`` reports the end-to-end metrics.  ``--trace 1`` alternates
+``--trace 0`` reports the end-to-end metrics, each a median over the
+run (the tail over blocks of episodes, see ``tail_blocks_ms``), with
+BLAS pinned to one thread.  ``--trace 1`` alternates
 untraced episodes with episodes that record spans, reports the per-layer
 metrics plus ``trace_overhead`` (traced ÷ untraced median op), and
 writes the spans to ``.e2ebench/traces/``.  The line before the result
@@ -54,6 +57,9 @@ WORKLOAD_NAMES = ("commit-durable", "push-batch", "fleet-churn", "restart-cold")
 #: Environment variables that would change what is measured: parallel
 #: planning workers and fault injection.  The run removes them.
 CONTROLLED_ENV = ("REPRO_PLAN_WORKERS", "REPRO_FAULT_SPEC", "REPRO_FAULT_SEED")
+#: BLAS thread pools, set to one thread before NumPy loads: the run is a
+#: single thread and does not compete with itself for the box's cores.
+PINNED_ENV = {"OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1", "MKL_NUM_THREADS": "1"}
 PLAN_CACHE = "estimators.plan_cache"
 
 
@@ -172,6 +178,29 @@ def percentile(values: list[float], pct: float) -> float:
     return ordered[max(0, math.ceil(pct / 100 * len(ordered)) - 1)]
 
 
+def tail_samples(workload) -> int:
+    """Fewest samples with at least ten beyond the workload's tail percentile."""
+    return math.ceil(10 / (1 - workload.tail_percentile / 100)) + 1
+
+
+def tail_blocks_ms(workload, episodes: list[Episode]) -> list[float]:
+    """The tail percentile of each block of consecutive episodes, in ms.
+
+    A block holds the fewest whole episodes with :func:`tail_samples`
+    samples (the last block takes the leftover episodes).  The reported
+    tail is the median over blocks, so a slow stretch of the shared
+    machine moves the tail of one block rather than the whole run's.
+    """
+    size = math.ceil(tail_samples(workload) / workload.ops_per_episode)
+    count = max(1, len(episodes) // size)
+    blocks = [episodes[i * size:(i + 1) * size] for i in range(count - 1)]
+    blocks.append(episodes[(count - 1) * size:])
+    return [
+        percentile([value for episode in block for value in episode.latencies], workload.tail_percentile) * 1e3
+        for block in blocks
+    ]
+
+
 def exact_count_errors(episodes: list[Episode], skip: tuple[str, ...] = ()) -> list[str]:
     """Counts that differ between episodes of one seed (they must not)."""
     first = episodes[0].counts
@@ -208,6 +237,7 @@ def environment(workload, removed: list[str], state_root: Path) -> dict:
         "sync": workload.sync,
         "REPRO_PLAN_WORKERS": "removed" if "REPRO_PLAN_WORKERS" in removed else "unset",
         "removed_env": removed,
+        "pinned_env": PINNED_ENV,
         "platform": platform.platform(),
     }
 
@@ -218,7 +248,7 @@ def end_to_end(workload, episodes: list[Episode]) -> dict[str, tuple[float, str]
     return {
         "setup_s": (statistics.median(episode.setup_s for episode in episodes), "s"),
         "op_p50_ms": (statistics.median(latencies) * 1e3, "ms"),
-        "op_tail_ms": (percentile(latencies, workload.tail_percentile) * 1e3, "ms"),
+        "op_tail_ms": (statistics.median(tail_blocks_ms(workload, episodes)), "ms"),
         "builds_per_s": (
             statistics.median(_per(e.counts["builds"], sum(e.latencies)) for e in episodes),
             "1/s",
@@ -266,6 +296,7 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: the program's sources are missing ({ROOT / 'src' / 'repro'})", file=sys.stderr)
         return 2
     removed = sorted(name for name in CONTROLLED_ENV if os.environ.pop(name, None) is not None)
+    os.environ.update(PINNED_ENV)
     sys.path.insert(0, str(ROOT / "src"))
     from workloads import WORKLOADS
     from worlds import LogicalClock
@@ -288,8 +319,7 @@ def main(argv: list[str] | None = None) -> int:
             metrics = per_layer(untraced, traced, recorder)
             recorder.write(ROOT / ".e2ebench" / "traces" / f"{args.workload}-seed{args.seed}.jsonl")
         else:
-            min_ops = math.ceil(10 / (1 - workload.tail_percentile / 100)) + 1
-            episodes = run_phase(workload, clock, deadline, 3, min_ops)
+            episodes = run_phase(workload, clock, deadline, workload.min_episodes, tail_samples(workload))
             errors = exact_count_errors(episodes)
             metrics = end_to_end(workload, episodes)
     finally:
@@ -314,6 +344,7 @@ def main(argv: list[str] | None = None) -> int:
         "exact_counts": episodes[0].counts,
         "episode_p50_ms": [statistics.median(e.latencies) * 1e3 for e in episodes],
         "episode_builds_per_s": [_per(e.counts["builds"], sum(e.latencies)) for e in episodes],
+        "block_tail_ms": [] if args.trace else tail_blocks_ms(workload, episodes),
         "errors": errors[:20],
     }
     print(json.dumps(detail, sort_keys=True))

@@ -68,8 +68,11 @@ class Workload:
     name = ""
     op = ""
     ops_per_episode = 0
-    #: Highest percentile with at least ten samples beyond it in one episode.
+    #: The reported tail percentile; run.py takes it over blocks of whole
+    #: episodes holding at least ten samples beyond it.
     tail_percentile = 0.0
+    #: Fewest timed episodes in an end-to-end run, however short ``--seconds``.
+    min_episodes = 3
     sync = True
 
     def __init__(self, seed: int):
@@ -167,7 +170,10 @@ class PushBatch(_ServiceWorkload):
     name = "push-batch"
     op = "push"
     push_size = 16
-    ops_per_episode = 8
+    #: Odd: a push costs more the longer the history, so each push of an
+    #: episode has its own latency band, and with an even count the median
+    #: (and p75) would fall on the edge between two bands.
+    ops_per_episode = 9
     tail_percentile = 75.0
 
     def make_world(self) -> World:
@@ -197,6 +203,9 @@ class FleetChurn(Workload):
     snapshot_every = 4
     ops_per_episode = 256
     tail_percentile = 96.0
+    #: Its episodes (~7 fsyncs per submit) vary most with the shared
+    #: host's load, so a run medians over more of them.
+    min_episodes = 6
 
     def __init__(self, seed: int):
         super().__init__(seed)
