@@ -67,20 +67,23 @@ server-local data — never restore from an untrusted one.
 from __future__ import annotations
 
 import base64
-import json
-import os
 import pickle
 import re
-import zlib
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Callable, Iterator
 
+from repro.ci.durable import (
+    CrcLog,
+    crc32,
+    replace_atomically,
+    scan_log,
+    set_aside,
+)
 from repro.exceptions import PersistenceError, SnapshotCorruptError
 from repro.reliability.events import record_event
-from repro.reliability.faults import InjectedFault, fault_point, torn_bytes
-from repro.utils.serialization import to_jsonable
+from repro.reliability.faults import fault_point, torn_bytes
 
 __all__ = [
     "SNAPSHOT_FORMAT_VERSION",
@@ -109,9 +112,6 @@ __all__ = [
 #: (unchecksummed) envelopes are still read.
 SNAPSHOT_FORMAT_VERSION = 2
 
-
-def _crc32(data: bytes) -> int:
-    return zlib.crc32(data) & 0xFFFFFFFF
 
 # Journal event types.  The first is the one replay is driven by; the rest
 # form the operational audit trail.  COMPACTION is the checkpoint-truncate
@@ -163,31 +163,6 @@ def decode_model(payload: str) -> Any:
 # The journal
 # ---------------------------------------------------------------------------
 
-def _parse_journal_line(line: str) -> dict[str, Any] | None:
-    """Parse one journal line into its record mapping, or ``None``.
-
-    ``None`` means the line is not an intact record: unparseable JSON, a
-    missing required field, or (for lines that carry one) a CRC that
-    does not match the canonical serialization of the rest of the line.
-    Lines without a ``crc`` field are accepted — journals written before
-    the checksummed format remain readable.
-    """
-    try:
-        raw = json.loads(line)
-        int(raw["sequence"])
-        raw["type"], raw["recorded_at"]
-    except (ValueError, KeyError, TypeError):
-        return None
-    if not isinstance(raw, dict):
-        return None
-    crc = raw.pop("crc", None)
-    if crc is not None:
-        body = json.dumps(raw, sort_keys=True).encode("utf-8")
-        if crc != _crc32(body):
-            return None
-    return raw
-
-
 @dataclass(frozen=True)
 class JournalRecord:
     """One journal line.
@@ -213,15 +188,29 @@ class JournalRecord:
     payload: dict[str, Any] = field(default_factory=dict)
 
 
+def _decode_journal(raw: dict[str, Any]) -> JournalRecord:
+    return JournalRecord(
+        sequence=int(raw["sequence"]),
+        type=str(raw["type"]),
+        recorded_at=str(raw["recorded_at"]),
+        payload=dict(raw.get("payload") or {}),
+    )
+
+
 class EventJournal:
     """An append-only JSON-lines event log with fsync durability.
+
+    A typed view over a :class:`~repro.ci.durable.CrcLog`, which owns the
+    line format, the torn-tail healing and the atomic rewrite; lines
+    without a CRC (written before checksums existed) are still read.
 
     Parameters
     ----------
     path:
         The journal file (created, along with parent directories, on
         first append).  Existing records are scanned once at open to
-        resume the sequence counter.
+        resume the sequence counter, and a torn trailing line is
+        quarantined and truncated.
     sync:
         Fsync after every append (default).  Turning it off trades the
         crash guarantee for throughput — acceptable for tests and
@@ -241,66 +230,23 @@ class EventJournal:
         self.path = Path(path)
         self.sync = bool(sync)
         self._clock = clock or (lambda: datetime.now(timezone.utc))
-        # Cached append-mode handle (O_APPEND, so an external truncation
-        # of the tail cannot misplace a later write).  Opened lazily,
-        # popped whenever an append fails or a compaction replaces the
-        # file, so the next append reopens cleanly.
-        self._handle = None
+        self._log = CrcLog(
+            self.path,
+            name="journal",
+            source="ci.persistence",
+            decode=_decode_journal,
+            legacy=True,
+        )
         self._compacted_through = 0
-        self._next_sequence = self._repair_and_scan() + 1
-
-    def _repair_and_scan(self) -> int:
-        """Scan intact records; truncate a torn *trailing* line in place.
-
-        A torn trailing line is the tolerated crash artifact — the append
-        never completed, so by the crash model its event never happened.
-        It cannot be left in the file: :meth:`append` opens in append
-        mode, so the next record would merge into the torn bytes (losing
-        it), and one more append after that would make the merged line
-        *non*-trailing — permanently unreadable corruption.  Truncating
-        the torn tail once, at open, keeps append blind and the journal
-        self-healing; the torn bytes are quarantined into a sidecar file
-        first (never deleted — they are forensic evidence, not state).
-        Garbage *followed by* intact records is real corruption; it is
-        left untouched for :meth:`records` to raise on.
-        """
-        if not self.path.exists():
-            return 0
-        raw = self.path.read_bytes()
-        last, valid_end, offset = 0, 0, 0
-        for chunk in raw.splitlines(keepends=True):
-            offset += len(chunk)
-            line = chunk.decode("utf-8", errors="replace").strip()
-            if not line:
-                valid_end = offset
-                continue
-            parsed = _parse_journal_line(line)
-            if parsed is None:
-                continue  # valid_end stays put; trailing garbage truncates
-            last = int(parsed["sequence"])
-            valid_end = offset
-            if parsed.get("type") == COMPACTION:
-                payload = parsed.get("payload") or {}
+        last = 0
+        for record in self._log.heal():
+            last = record.sequence
+            if record.type == COMPACTION:
                 self._compacted_through = max(
                     self._compacted_through,
-                    int(payload.get("compacted_through", last)),
+                    int(record.payload.get("compacted_through", last)),
                 )
-        if valid_end < len(raw):
-            torn = raw[valid_end:]
-            sidecar = self.path.with_name(
-                f"{self.path.name}.torn-{valid_end}.quarantined"
-            )
-            sidecar.write_bytes(torn)
-            record_event(
-                "journal-torn-tail",
-                "ci.persistence",
-                journal=str(self.path),
-                quarantined=str(sidecar),
-                torn_bytes=len(torn),
-            )
-            with open(self.path, "r+b") as handle:
-                handle.truncate(valid_end)
-        return last
+        self._next_sequence = last + 1
 
     @property
     def last_sequence(self) -> int:
@@ -320,76 +266,11 @@ class EventJournal:
     def __len__(self) -> int:
         return sum(1 for _ in self.records())
 
-    # -- the append handle ---------------------------------------------------
-    def _acquire_handle(self):
-        if self._handle is None or self._handle.closed:
-            self.path.parent.mkdir(parents=True, exist_ok=True)
-            self._handle = open(self.path, "ab")
-        return self._handle
-
     def close(self) -> None:
         """Close the cached append handle (reopened lazily on next append)."""
-        handle, self._handle = self._handle, None
-        if handle is not None and not handle.closed:
-            try:
-                handle.close()
-            except OSError:
-                pass
-
-    def _discard_failed_append(self, start: int) -> None:
-        """Self-heal after a failed append: pop the handle, truncate the tail.
-
-        A failed append — torn write, failing fsync, ``ENOSPC`` — leaves
-        the cached handle in an indeterminate position and possibly
-        bytes on disk for an event the caller was told never happened
-        (a fully written line whose fsync failed even parses as valid,
-        which no later scan could distinguish from a real record).  The
-        handle is popped so the next append reopens cleanly, and the
-        file is truncated back to its pre-append size with the removed
-        bytes quarantined into a sidecar — mirroring the torn-tail
-        healing the next open would perform, but eagerly, while this
-        process can still tell where the append began.  Best-effort: a
-        disk too broken to truncate leaves recovery to the next open's
-        scan, exactly as before.
-        """
-        self.close()
-        try:
-            with open(self.path, "r+b") as handle:
-                handle.seek(0, os.SEEK_END)
-                end = handle.tell()
-                if end <= start:
-                    return
-                handle.seek(start)
-                torn = handle.read(end - start)
-                sidecar = self.path.with_name(
-                    f"{self.path.name}.torn-{start}.quarantined"
-                )
-                suffix = 0
-                while sidecar.exists():
-                    suffix += 1
-                    sidecar = self.path.with_name(
-                        f"{self.path.name}.torn-{start}.quarantined.{suffix}"
-                    )
-                sidecar.write_bytes(torn)
-                handle.truncate(start)
-        except OSError:
-            return
-        record_event(
-            "journal-torn-tail",
-            "ci.persistence",
-            journal=str(self.path),
-            quarantined=str(sidecar),
-            torn_bytes=len(torn),
-        )
+        self._log.close()
 
     # -- writing -------------------------------------------------------------
-    def _render_line(self, record: JournalRecord) -> bytes:
-        """One CRC-stamped JSON line (canonical serialization)."""
-        rendered = to_jsonable(record)
-        body = json.dumps(rendered, sort_keys=True).encode("utf-8")
-        rendered["crc"] = _crc32(body)
-        return (json.dumps(rendered, sort_keys=True) + "\n").encode("utf-8")
-
     def append(self, type: str, payload: dict[str, Any] | None = None) -> JournalRecord:
         """Append one event; flushed (and fsynced) before returning.
 
@@ -399,13 +280,11 @@ class EventJournal:
         stamped with a CRC-32 over its canonical serialization, so a
         reader can tell a damaged line from a valid one.
 
-        Appends go through a cached ``O_APPEND`` handle.  Any failure —
-        an injected tear, a failing fsync, a real ``ENOSPC``/``EIO`` —
-        pops the handle and truncates the file back to its pre-append
-        size (quarantining whatever landed), so the journal self-heals
-        immediately and a subsequent append simply reopens and succeeds;
-        the event whose append failed never happened, exactly as the
-        crash model promises.
+        A failed append (an injected tear, a failing fsync, a real
+        ``ENOSPC``/``EIO``) is cut back off the file before the
+        exception propagates (:meth:`CrcLog.append`): the event never
+        happened, exactly as the crash model promises, and the next
+        append succeeds.
 
         Fault-injection points: ``journal.write`` (``errno`` — the disk
         fills before any byte lands), ``journal.append`` (``tear``
@@ -423,26 +302,7 @@ class EventJournal:
             recorded_at=self._clock().isoformat(),
             payload=dict(payload or {}),
         )
-        data = self._render_line(record)
-        handle = self._acquire_handle()
-        start = os.fstat(handle.fileno()).st_size
-        try:
-            torn = torn_bytes(data, fault_point("journal.append"))
-            fault_point("journal.write")
-            handle.write(data if torn is None else torn)
-            handle.flush()
-            if torn is not None:
-                if self.sync:
-                    os.fsync(handle.fileno())
-                raise InjectedFault(
-                    "journal.append", f"write torn at byte {len(torn)}"
-                )
-            fault_point("journal.fsync")
-            if self.sync:
-                os.fsync(handle.fileno())
-        except BaseException:
-            self._discard_failed_append(start)
-            raise
+        self._log.append(record, sync=self.sync)
         self._next_sequence += 1
         return record
 
@@ -495,24 +355,11 @@ class EventJournal:
             },
         )
         bytes_before = self.path.stat().st_size if self.path.exists() else 0
-        data = b"".join(
-            self._render_line(record) for record in [header] + survivors
+        bytes_after = self._log.rewrite(
+            [header] + survivors,
+            temp=self.path.with_name(self.path.name + ".compact.tmp"),
+            sync=self.sync,
         )
-        temp = self.path.with_name(self.path.name + ".compact.tmp")
-        try:
-            with open(temp, "wb") as handle:
-                handle.write(data)
-                handle.flush()
-                if self.sync:
-                    os.fsync(handle.fileno())
-            self.close()  # the cached handle points at the old inode
-            os.replace(temp, self.path)
-        except BaseException:
-            try:
-                temp.unlink(missing_ok=True)
-            except OSError:
-                pass
-            raise
         self._compacted_through = through
         record_event(
             "journal-compacted",
@@ -521,7 +368,7 @@ class EventJournal:
             compacted_through=through,
             dropped=dropped,
             bytes_before=bytes_before,
-            bytes_after=len(data),
+            bytes_after=bytes_after,
         )
         return dropped
 
@@ -534,30 +381,7 @@ class EventJournal:
         A malformed or CRC-failing line with intact records after it is
         corruption and raises :class:`PersistenceError`.
         """
-        if not self.path.exists():
-            return
-        with open(self.path, "r", encoding="utf-8") as handle:
-            lines = handle.read().splitlines()
-        pending_error: PersistenceError | None = None
-        for number, line in enumerate(lines, start=1):
-            if not line.strip():
-                continue
-            raw = _parse_journal_line(line)
-            if raw is None:
-                pending_error = PersistenceError(
-                    f"journal {self.path} line {number} is corrupt "
-                    "(non-trailing): malformed or checksum mismatch"
-                )
-                continue
-            record = JournalRecord(
-                sequence=int(raw["sequence"]),
-                type=str(raw["type"]),
-                recorded_at=str(raw["recorded_at"]),
-                payload=dict(raw.get("payload") or {}),
-            )
-            if pending_error is not None:
-                raise pending_error
-            yield record
+        return self._log.records()
 
     def records_of(self, type: str) -> Iterator[JournalRecord]:
         """Yield intact records of one event type, oldest first."""
@@ -617,7 +441,8 @@ class JournalScan:
 def scan_journal(path: str | Path) -> JournalScan:
     """Classify a journal file without opening it for repair."""
     path = Path(path)
-    if not path.exists():
+    scan = scan_log(path, _decode_journal, legacy=True)
+    if scan is None:
         return JournalScan(
             path=path,
             exists=False,
@@ -628,67 +453,30 @@ def scan_journal(path: str | Path) -> JournalScan:
             commit_sequences=(),
             commit_journal_sequences=(),
         )
-    raw = path.read_bytes()
-    records = 0
-    last_sequence = 0
-    compacted_through = 0
-    invalid: list[int] = []
-    commit_sequences: list[int] = []
-    commit_journal_sequences: list[int] = []
-    valid_end = offset = 0
-    number = 0
-    for chunk in raw.splitlines(keepends=True):
-        offset += len(chunk)
-        number += 1
-        line = chunk.decode("utf-8", errors="replace").strip()
-        if not line:
-            valid_end = offset
-            continue
-        parsed = _parse_journal_line(line)
-        if parsed is None:
-            invalid.append(number)
-            continue
-        records += 1
-        last_sequence = int(parsed["sequence"])
-        valid_end = offset
-        if parsed.get("type") == COMMIT_RECEIVED:
-            payload = parsed.get("payload") or {}
-            if "sequence" in payload:
-                commit_sequences.append(int(payload["sequence"]))
-                commit_journal_sequences.append(int(parsed["sequence"]))
-        elif parsed.get("type") == COMPACTION:
-            payload = parsed.get("payload") or {}
-            compacted_through = max(
-                compacted_through,
-                int(payload.get("compacted_through", parsed["sequence"])),
-            )
-    torn_tail_bytes = len(raw) - valid_end
-    # Invalid lines inside the valid region are corruption; invalid lines
-    # in the trailing region are the (tolerated) torn tail.
-    corrupt_lines = tuple(
-        n for n in invalid if _line_offset(raw, n) < valid_end
-    )
+    records = scan.records
+    commits = [
+        record
+        for record in records
+        if record.type == COMMIT_RECEIVED and "sequence" in record.payload
+    ]
     return JournalScan(
         path=path,
         exists=True,
-        records=records,
-        last_sequence=last_sequence,
-        corrupt_lines=corrupt_lines,
-        torn_tail_bytes=torn_tail_bytes,
-        commit_sequences=tuple(commit_sequences),
-        commit_journal_sequences=tuple(commit_journal_sequences),
-        compacted_through=compacted_through,
+        records=len(records),
+        last_sequence=records[-1].sequence if records else 0,
+        corrupt_lines=scan.corrupt_lines,
+        torn_tail_bytes=scan.torn_tail_bytes,
+        commit_sequences=tuple(int(r.payload["sequence"]) for r in commits),
+        commit_journal_sequences=tuple(r.sequence for r in commits),
+        compacted_through=max(
+            (
+                int(r.payload.get("compacted_through", r.sequence))
+                for r in records
+                if r.type == COMPACTION
+            ),
+            default=0,
+        ),
     )
-
-
-def _line_offset(raw: bytes, number: int) -> int:
-    """Byte offset at which 1-based line ``number`` starts."""
-    offset = 0
-    for index, chunk in enumerate(raw.splitlines(keepends=True), start=1):
-        if index == number:
-            return offset
-        offset += len(chunk)
-    return offset
 
 
 # ---------------------------------------------------------------------------
@@ -791,7 +579,7 @@ class SnapshotStore:
             "format_version": SNAPSHOT_FORMAT_VERSION,
             "sequence": sequence,
             "journal_sequence": int(journal_sequence),
-            "checksum": _crc32(payload_pickle),
+            "checksum": crc32(payload_pickle),
             "payload_pickle": payload_pickle,
         }
         data = pickle.dumps(envelope, protocol=pickle.HIGHEST_PROTOCOL)
@@ -810,21 +598,13 @@ class SnapshotStore:
             path.write_bytes(torn)
             self._info_cache[sequence] = info
             return info
-        temp = path.with_suffix(".pkl.tmp")
-        try:
-            with open(temp, "wb") as handle:
-                handle.write(data)
-                handle.flush()
-                fault_point("snapshot.fsync")
-                os.fsync(handle.fileno())
-            fault_point("snapshot.rename")
-            os.replace(temp, path)
-        except BaseException:
-            try:
-                temp.unlink(missing_ok=True)
-            except OSError:
-                pass
-            raise
+        replace_atomically(
+            path,
+            data,
+            temp=path.with_suffix(".pkl.tmp"),
+            fsync_site="snapshot.fsync",
+            replace_site="snapshot.rename",
+        )
         self._info_cache[sequence] = info
         return info
 
@@ -876,7 +656,7 @@ class SnapshotStore:
                 f"snapshot {path} has format version {version!r}; this build "
                 f"reads version {SNAPSHOT_FORMAT_VERSION}"
             )
-        if version != 1 and _crc32(envelope["payload_pickle"]) != envelope.get(
+        if version != 1 and crc32(envelope["payload_pickle"]) != envelope.get(
             "checksum"
         ):
             raise SnapshotCorruptError(
@@ -927,12 +707,7 @@ class SnapshotStore:
 
     def _quarantine(self, sequence: int, path: Path, error: Exception) -> Path:
         """Move a corrupt snapshot aside (never delete) and log the event."""
-        target = path.with_name(path.name + ".quarantined")
-        suffix = 0
-        while target.exists():
-            suffix += 1
-            target = path.with_name(f"{path.name}.quarantined.{suffix}")
-        os.replace(path, target)
+        target = set_aside(path.with_name(path.name + ".quarantined"), source=path)
         self._info_cache.pop(sequence, None)
         record_event(
             "snapshot-quarantined",

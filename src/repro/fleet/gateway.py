@@ -35,7 +35,8 @@ fleet of tenants watching the same condition plans once.
 Fault-injection points (chaos suite): ``fleet.hydrate``,
 ``fleet.evict``, ``fleet.process`` (plus the per-tenant
 ``fleet.process.<tenant-id>`` variant) and the intake queue's
-``intake.append`` (tear) / ``intake.write`` (errno).
+``intake.append`` (tear), ``intake.write`` (errno), ``intake.fsync`` and
+``intake.compact``.
 
 Single-writer assumption: one live :class:`CIFleet` per root directory,
 like one :class:`CIService` per state directory.  Read-only inspection
@@ -528,6 +529,11 @@ class CIFleet:
                 error=str(exc),
             )
             return False
+        # Release the evicted tenant's descriptors now, not whenever the
+        # garbage collector reaches the dropped service (the compaction
+        # above already closed its intake handle).
+        if service._journal is not None:
+            service._journal.close()
         del self._resident[tenant_id]
         self.evictions += 1
         record_event("tenant-evicted", "fleet.gateway", tenant=tenant_id)
@@ -662,15 +668,11 @@ class CIFleet:
         except Exception:
             self.rejections["fleet-overloaded"] += 1
             raise
-        try:
-            record = queue.append(model, message=message, author=author)
-        except Exception:
-            # A torn append leaves trailing garbage in the intake file;
-            # drop the handle so the next open heals it exactly like a
-            # restart would.  By the crash model the submission was not
-            # accepted.
-            self._intakes.pop(tenant_id, None)
-            raise
+        record = queue.append(model, message=message, author=author)
+        if tenant_id not in self._resident:
+            # Only served tenants keep an intake handle open, so open
+            # descriptors stay bounded by max_resident, not tenant count.
+            queue.close()
         self.accepted += 1
         return record
 
@@ -681,11 +683,9 @@ class CIFleet:
         try:
             queue.ack(repo_sequence)
         except Exception as exc:
-            # A torn ack leaves trailing garbage; drop the handle so the
-            # next open heals it like a restart.  The processed build is
-            # safe in the tenant journal — the next drain re-acks the
-            # entry by sequence without re-running it.
-            self._intakes.pop(tenant_id, None)
+            # The failed ack is already cut back off the intake file.  The
+            # processed build is safe in the tenant journal — the next
+            # drain re-acks the entry by sequence without re-running it.
             record_event(
                 "intake-ack-failed",
                 "fleet.gateway",
@@ -760,6 +760,7 @@ class CIFleet:
             except Exception as exc:
                 breaker.record_failure(exc)
                 self._resident.pop(tenant_id, None)
+                queue.close()
                 record_event(
                     "tenant-process-failed",
                     "fleet.gateway",

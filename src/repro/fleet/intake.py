@@ -30,30 +30,29 @@ Record kinds
 
 Crash model
 -----------
-Identical to :class:`repro.ci.persistence.EventJournal`: every append is
-flushed (and fsynced) before returning; a torn *trailing* line is a
-crash artifact whose event never happened — it is quarantined into a
-sidecar file and truncated at the next open; garbage followed by intact
-records is real corruption and raises :class:`PersistenceError`.
-The ``intake.append`` fault-injection point simulates the mid-append
-crash (``tear``); ``intake.write`` simulates the disk filling or dying
-(``errno`` → ``ENOSPC``/``EIO``) before any byte lands.
+Identical to :class:`repro.ci.persistence.EventJournal`: both are views
+over :class:`repro.ci.durable.CrcLog`, so a failed append is cut back
+off the file before its exception propagates (a submission the client
+was told failed is never processed), a torn trailing line left by a
+crash is quarantined and truncated at the next open, and garbage
+followed by intact records raises :class:`PersistenceError`.  Fault
+sites, traversed by submission *and* ack appends: ``intake.append``
+(``tear``), ``intake.write`` (``errno`` before any byte lands) and
+``intake.fsync``; ``intake.compact`` aborts a compaction before it
+starts.
 """
 
 from __future__ import annotations
 
-import json
-import os
-import zlib
 from dataclasses import dataclass, field
 from datetime import datetime, timezone
 from pathlib import Path
 from typing import Any, Callable, Iterator
 
+from repro.ci.durable import CrcLog, render_line, replace_atomically, scan_log
 from repro.ci.persistence import decode_model, encode_model
 from repro.exceptions import PersistenceError
-from repro.reliability.events import record_event
-from repro.reliability.faults import InjectedFault, fault_point, torn_bytes
+from repro.reliability.faults import fault_point
 
 __all__ = ["IntakeRecord", "IntakeScan", "IntakeQueue", "scan_intake"]
 
@@ -61,35 +60,6 @@ _CURSOR = "cursor"
 _SUBMISSION = "submission"
 _ACK = "ack"
 _KINDS = frozenset({_CURSOR, _SUBMISSION, _ACK})
-
-
-def _crc32(data: bytes) -> int:
-    return zlib.crc32(data) & 0xFFFFFFFF
-
-
-def _parse_intake_line(line: str) -> dict[str, Any] | None:
-    """Parse one intake line, or ``None`` when it is not an intact record.
-
-    ``None`` covers unparseable JSON, a missing/unknown ``kind``, a
-    missing sequence, and a CRC mismatch against the canonical
-    serialization of the rest of the line.
-    """
-    try:
-        raw = json.loads(line)
-        int(raw["sequence"])
-        if raw["kind"] not in _KINDS:
-            return None
-    except (ValueError, KeyError, TypeError):
-        return None
-    if not isinstance(raw, dict):
-        return None
-    crc = raw.pop("crc", None)
-    if crc is None:
-        return None
-    body = json.dumps(raw, sort_keys=True).encode("utf-8")
-    if crc != _crc32(body):
-        return None
-    return raw
 
 
 @dataclass(frozen=True)
@@ -122,6 +92,18 @@ class IntakeRecord:
     def model(self) -> Any:
         """Unpickle the submitted model (submission records only)."""
         return decode_model(self.payload["model_pickle"])
+
+
+def _decode_intake(raw: dict[str, Any]) -> IntakeRecord:
+    if raw["kind"] not in _KINDS:
+        raise ValueError(f"unknown intake record kind {raw['kind']!r}")
+    return IntakeRecord(
+        sequence=int(raw["sequence"]),
+        kind=str(raw["kind"]),
+        repo_sequence=int(raw["repo_sequence"]),
+        recorded_at=str(raw.get("recorded_at", "")),
+        payload=dict(raw.get("payload") or {}),
+    )
 
 
 @dataclass(frozen=True)
@@ -159,6 +141,10 @@ class IntakeScan:
 class IntakeQueue:
     """One tenant's durable intake queue.
 
+    A typed view over a :class:`~repro.ci.durable.CrcLog`, which owns the
+    line format, torn-tail healing and the atomic rewrite; every intake
+    line must carry a CRC.
+
     Parameters
     ----------
     path:
@@ -183,18 +169,20 @@ class IntakeQueue:
         self.path = Path(path)
         self.sync = bool(sync)
         self._clock = clock or (lambda: datetime.now(timezone.utc))
-        self._base = 0
         self._next_sequence = 1
         self._next_repo_sequence = 0
         self._acked: set[int] = set()
         self._pending: dict[int, IntakeRecord] = {}
-        if self.path.exists():
-            self._open_and_scan()
-        else:
+        if not self.path.exists():
             raise PersistenceError(
                 f"intake queue {self.path} does not exist; create it with "
                 "IntakeQueue.create()"
             )
+        self._log = CrcLog(
+            self.path, name="intake", source="fleet.intake", decode=_decode_intake
+        )
+        for record in self._log.heal():
+            self._fold(record)
 
     @classmethod
     def create(
@@ -216,71 +204,23 @@ class IntakeQueue:
             raise PersistenceError(f"intake queue {path} already exists")
         path.parent.mkdir(parents=True, exist_ok=True)
         stamp = (clock or (lambda: datetime.now(timezone.utc)))()
-        record = {
-            "sequence": 1,
-            "kind": _CURSOR,
-            "repo_sequence": int(base_repo_sequence),
-            "recorded_at": stamp.isoformat(),
-            "payload": {},
-        }
-        body = json.dumps(record, sort_keys=True).encode("utf-8")
-        record["crc"] = _crc32(body)
-        data = (json.dumps(record, sort_keys=True) + "\n").encode("utf-8")
-        with open(path, "wb") as handle:
-            handle.write(data)
-            handle.flush()
-            if sync:
-                os.fsync(handle.fileno())
+        cursor = IntakeRecord(
+            sequence=1,
+            kind=_CURSOR,
+            repo_sequence=int(base_repo_sequence),
+            recorded_at=stamp.isoformat(),
+        )
+        replace_atomically(
+            path,
+            render_line(cursor),
+            temp=path.with_name(path.name + ".tmp"),
+            sync=sync,
+        )
         return cls(path, sync=sync, clock=clock)
 
-    # -- scanning ------------------------------------------------------------
-    def _open_and_scan(self) -> None:
-        """Fold every intact record into counters; heal a torn tail.
-
-        Mirrors :meth:`EventJournal._repair_and_scan`: the torn trailing
-        bytes are quarantined into a sidecar (forensics, never state) and
-        truncated so the append-mode writer cannot merge into them.
-        """
-        raw = self.path.read_bytes()
-        valid_end = offset = 0
-        for chunk in raw.splitlines(keepends=True):
-            offset += len(chunk)
-            line = chunk.decode("utf-8", errors="replace").strip()
-            if not line:
-                valid_end = offset
-                continue
-            parsed = _parse_intake_line(line)
-            if parsed is None:
-                continue  # valid_end stays put; trailing garbage truncates
-            self._fold(parsed)
-            valid_end = offset
-        if valid_end < len(raw):
-            torn = raw[valid_end:]
-            sidecar = self.path.with_name(
-                f"{self.path.name}.torn-{valid_end}.quarantined"
-            )
-            sidecar.write_bytes(torn)
-            record_event(
-                "intake-torn-tail",
-                "fleet.intake",
-                intake=str(self.path),
-                quarantined=str(sidecar),
-                torn_bytes=len(torn),
-            )
-            with open(self.path, "r+b") as handle:
-                handle.truncate(valid_end)
-
-    def _fold(self, parsed: dict[str, Any]) -> None:
-        record = IntakeRecord(
-            sequence=int(parsed["sequence"]),
-            kind=str(parsed["kind"]),
-            repo_sequence=int(parsed["repo_sequence"]),
-            recorded_at=str(parsed.get("recorded_at", "")),
-            payload=dict(parsed.get("payload") or {}),
-        )
+    def _fold(self, record: IntakeRecord) -> None:
         self._next_sequence = max(self._next_sequence, record.sequence + 1)
         if record.kind == _CURSOR:
-            self._base = record.repo_sequence
             self._next_repo_sequence = max(
                 self._next_repo_sequence, record.repo_sequence
             )
@@ -324,27 +264,7 @@ class IntakeQueue:
             recorded_at=self._clock().isoformat(),
             payload=payload,
         )
-        rendered = {
-            "sequence": record.sequence,
-            "kind": record.kind,
-            "repo_sequence": record.repo_sequence,
-            "recorded_at": record.recorded_at,
-            "payload": dict(record.payload),
-        }
-        body = json.dumps(rendered, sort_keys=True).encode("utf-8")
-        rendered["crc"] = _crc32(body)
-        data = (json.dumps(rendered, sort_keys=True) + "\n").encode("utf-8")
-        torn = torn_bytes(data, fault_point("intake.append"))
-        fault_point("intake.write")  # errno: the disk fills before any byte lands
-        with open(self.path, "ab") as handle:
-            handle.write(data if torn is None else torn)
-            handle.flush()
-            if self.sync:
-                os.fsync(handle.fileno())
-            if torn is not None:
-                raise InjectedFault(
-                    "intake.append", f"write torn at byte {len(torn)}"
-                )
+        self._log.append(record, sync=self.sync)
         self._next_sequence += 1
         return record
 
@@ -355,12 +275,10 @@ class IntakeQueue:
 
         The returned record's ``repo_sequence`` is the submission's
         identity for acknowledgement and for locating its eventual build
-        (``BuildRecord.commit.sequence`` equals it).
-
-        Fault-injection point: ``intake.append`` (``tear`` writes a
-        partial line then raises — the crash-mid-accept the next open
-        self-heals; by the crash model the submission was *not*
-        accepted).
+        (``BuildRecord.commit.sequence`` equals it).  When the append
+        fails the line is cut back off the file before the exception
+        propagates: by the crash model the submission was *not*
+        accepted, and a retry cannot leave it queued twice.
         """
         record = self._append_record(
             _SUBMISSION,
@@ -392,45 +310,32 @@ class IntakeQueue:
         Returns the number of records dropped.  Written
         temp-then-rename, so a crash mid-compaction leaves the previous
         file intact.
+
+        Fault-injection point: ``intake.compact`` (``errno`` — the
+        rewrite never starts; the original file is untouched).
         """
         pending = self.pending()
         base = self._next_repo_sequence - len(pending)
-        stamp = self._clock().isoformat()
-        lines = []
-        cursor = {
-            "sequence": self._next_sequence,
-            "kind": _CURSOR,
-            "repo_sequence": base,
-            "recorded_at": stamp,
-            "payload": {},
-        }
-        records = [cursor] + [
-            {
-                "sequence": record.sequence,
-                "kind": record.kind,
-                "repo_sequence": record.repo_sequence,
-                "recorded_at": record.recorded_at,
-                "payload": dict(record.payload),
-            }
-            for record in pending
-        ]
-        for rendered in records:
-            body = json.dumps(rendered, sort_keys=True).encode("utf-8")
-            rendered["crc"] = _crc32(body)
-            lines.append(json.dumps(rendered, sort_keys=True))
-        data = ("\n".join(lines) + "\n").encode("utf-8")
-        temp = self.path.with_name(self.path.name + ".tmp")
-        with open(temp, "wb") as handle:
-            handle.write(data)
-            handle.flush()
-            if self.sync:
-                os.fsync(handle.fileno())
-        os.replace(temp, self.path)
+        fault_point("intake.compact")
+        cursor = IntakeRecord(
+            sequence=self._next_sequence,
+            kind=_CURSOR,
+            repo_sequence=base,
+            recorded_at=self._clock().isoformat(),
+        )
+        self._log.rewrite(
+            [cursor] + pending,
+            temp=self.path.with_name(self.path.name + ".tmp"),
+            sync=self.sync,
+        )
         dropped = len(self._acked)
         self._acked.clear()
-        self._base = base
-        self._next_sequence = cursor["sequence"] + 1
+        self._next_sequence = cursor.sequence + 1
         return dropped
+
+    def close(self) -> None:
+        """Close the cached append handle (reopened lazily on next append)."""
+        self._log.close()
 
     # -- reading -------------------------------------------------------------
     def records(self) -> Iterator[IntakeRecord]:
@@ -440,35 +345,14 @@ class IntakeQueue:
         :class:`PersistenceError` (mirroring the journal's corruption
         contract); a torn trailing line was already healed at open.
         """
-        if not self.path.exists():
-            return
-        lines = self.path.read_text(encoding="utf-8").splitlines()
-        pending_error: PersistenceError | None = None
-        for number, line in enumerate(lines, start=1):
-            if not line.strip():
-                continue
-            parsed = _parse_intake_line(line)
-            if parsed is None:
-                pending_error = PersistenceError(
-                    f"intake queue {self.path} line {number} is corrupt "
-                    "(non-trailing): malformed or checksum mismatch"
-                )
-                continue
-            if pending_error is not None:
-                raise pending_error
-            yield IntakeRecord(
-                sequence=int(parsed["sequence"]),
-                kind=str(parsed["kind"]),
-                repo_sequence=int(parsed["repo_sequence"]),
-                recorded_at=str(parsed.get("recorded_at", "")),
-                payload=dict(parsed.get("payload") or {}),
-            )
+        return self._log.records()
 
 
 def scan_intake(path: str | Path) -> IntakeScan:
     """Classify an intake file without opening it for repair (read-only)."""
     path = Path(path)
-    if not path.exists():
+    scan = scan_log(path, _decode_intake)
+    if scan is None:
         return IntakeScan(
             path=path,
             exists=False,
@@ -478,38 +362,15 @@ def scan_intake(path: str | Path) -> IntakeScan:
             corrupt_lines=(),
             torn_tail_bytes=0,
         )
-    raw = path.read_bytes()
-    records = 0
-    submissions: set[int] = set()
-    acked: set[int] = set()
-    invalid_offsets: list[tuple[int, int]] = []  # (line number, start offset)
-    valid_end = offset = number = 0
-    for chunk in raw.splitlines(keepends=True):
-        start = offset
-        offset += len(chunk)
-        number += 1
-        line = chunk.decode("utf-8", errors="replace").strip()
-        if not line:
-            valid_end = offset
-            continue
-        parsed = _parse_intake_line(line)
-        if parsed is None:
-            invalid_offsets.append((number, start))
-            continue
-        records += 1
-        valid_end = offset
-        if parsed["kind"] == _SUBMISSION:
-            submissions.add(int(parsed["repo_sequence"]))
-        elif parsed["kind"] == _ACK:
-            acked.add(int(parsed["repo_sequence"]))
+    records = scan.records
+    submissions = {r.repo_sequence for r in records if r.kind == _SUBMISSION}
+    acked = {r.repo_sequence for r in records if r.kind == _ACK}
     return IntakeScan(
         path=path,
         exists=True,
-        records=records,
+        records=len(records),
         pending=len(submissions - acked),
         acked=len(submissions & acked),
-        corrupt_lines=tuple(
-            n for n, start in invalid_offsets if start < valid_end
-        ),
-        torn_tail_bytes=len(raw) - valid_end,
+        corrupt_lines=scan.corrupt_lines,
+        torn_tail_bytes=scan.torn_tail_bytes,
     )

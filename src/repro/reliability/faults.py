@@ -31,20 +31,25 @@ site                      instrumented where
                           temp-then-rename rewrite — an aborted
                           compaction leaves the original journal intact
 ``snapshot.rename``       the snapshot's final ``os.replace`` — ``errno``
-                          leaves the temp file behind and no new
+                          removes the temp file and leaves no new
                           generation visible; the previous snapshot
                           still restores
-``intake.write``          :meth:`IntakeQueue._append_record`'s write —
-                          ``errno`` rejects the submission before any
-                          byte lands (by the crash model it was never
-                          accepted)
+``intake.write``          every intake append (submissions *and*
+                          acks) — ``errno`` rejects the record before
+                          any byte lands (by the crash model it was
+                          never accepted)
+``intake.fsync``          the intake's per-append fsync — the written
+                          line is cut back off before the error
+                          propagates
+``intake.compact``        :meth:`IntakeQueue.compact`, before the
+                          rewrite starts
 ``notification.send``     :class:`repro.ci.notifications.RetryingTransport`
                           — ``raise`` is a flaky transport (retried),
                           ``drop`` loses the message silently
-``intake.append``         :meth:`repro.fleet.intake.IntakeQueue.append` —
-                          ``tear`` writes a partial intake line then
-                          raises (crash mid-accept; the torn tail is
-                          quarantined and truncated at the next open)
+``intake.append``         every intake append — ``tear`` writes a
+                          partial intake line then raises (crash
+                          mid-accept; the torn bytes are cut off and
+                          quarantined before the error propagates)
 ``fleet.hydrate``         :meth:`repro.fleet.CIFleet.service` — ``raise``
                           simulates a tenant whose cold resume fails
                           (counts against its circuit breaker)
