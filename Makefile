@@ -24,13 +24,17 @@
 #                           (writes BENCH_fleet.json)
 #   make bench-storage    - journal compaction + disk-budget gates
 #                           (writes BENCH_storage.json)
+#   make bench-e2e        - end-to-end benchmark: e2ebench/run.py over its
+#                           four workloads, 10 s each; SEED=n sets the
+#                           seed (default 1), TRACE=1 adds the per-layer
+#                           breakdown
 #   make bench            - full pytest-benchmark suite over the paper
 #                           artifacts, plus the perf benchmarks above
 
 PYTHON ?= python
 export PYTHONPATH := src$(if $(PYTHONPATH),:$(PYTHONPATH),)
 
-.PHONY: verify verify-fast ci bench-smoke test-faults conformance coverage docs bench bench-perf bench-throughput bench-fleet bench-storage
+.PHONY: verify verify-fast ci bench-smoke test-faults conformance coverage docs bench bench-perf bench-throughput bench-fleet bench-storage bench-e2e
 
 verify:
 	$(PYTHON) -m pytest -x -q
@@ -78,6 +82,16 @@ bench-fleet:
 
 bench-storage:
 	$(PYTHON) benchmarks/bench_storage.py
+
+SEED ?= 1
+TRACE ?= 0
+E2E_WORKLOADS = commit-durable push-batch fleet-churn restart-cold
+
+bench-e2e:
+	for workload in $(E2E_WORKLOADS); do \
+		python3 e2ebench/run.py --workload $$workload --seed $(SEED) \
+			--seconds 10 --trace $(TRACE) || exit 1; \
+	done
 
 bench: bench-perf bench-throughput
 	$(PYTHON) -m pytest -q benchmarks -s

@@ -17,7 +17,7 @@ import os
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import Any, Callable, Iterator
+from typing import Any, Callable, Iterable, Iterator
 
 from repro.exceptions import PersistenceError
 from repro.reliability.events import record_event
@@ -52,22 +52,78 @@ def render_line(record: Any) -> bytes:
     return (json.dumps(rendered, sort_keys=True) + "\n").encode("utf-8")
 
 
-def _parse(text: str, decode: Callable[[dict], Any], legacy: bool) -> Any:
-    """The record on one non-blank line, or ``None`` when it is not intact."""
+#: CRC-32 of the ``{`` a rendered line's checked body starts with.
+_BRACE_CRC = zlib.crc32(b"{")
+
+
+def _crc_over_bytes(chunk: bytes, crc: int) -> bool:
+    """Whether ``chunk`` carries ``crc`` over its own bytes.
+
+    :func:`render_line` writes ``{"crc": N, `` + body (sorted keys put
+    ``crc`` first), where ``N`` is the CRC of ``{`` + body, the record's
+    canonical JSON without ``crc``.  Checking those bytes directly needs
+    no re-serialization; a line that does not have this exact shape
+    fails here and is left to the re-serialization check.
+    """
+    if type(crc) is not int:
+        return False
+    head = b'{"crc": %d, ' % crc
+    if not chunk.startswith(head):
+        return False
+    end = len(chunk) - 1 if chunk.endswith(b"\n") else len(chunk)
+    body = memoryview(chunk)[len(head):end]
+    return zlib.crc32(body, _BRACE_CRC) & 0xFFFFFFFF == crc
+
+
+#: What :func:`_parse` returns as the record of a blank line.
+_BLANK = object()
+
+
+def _parse(
+    chunk: bytes, decode: Callable[[dict], Any], legacy: bool
+) -> tuple[Any, bool]:
+    """``(record, exact)`` for one line read from a log.
+
+    ``record`` is :data:`_BLANK` for a blank line and ``None`` when the
+    line is not intact.  ``exact`` says its CRC checks over its own
+    bytes (:func:`_crc_over_bytes`), so a rewrite may copy ``chunk``
+    verbatim; only when that fast check fails is the CRC compared with
+    the re-serialized record, so the verdict is the re-serialization
+    check's.
+    """
+    text = chunk.decode("utf-8", errors="replace").strip()
+    if not text:
+        return _BLANK, False
     try:
         raw = json.loads(text)
         if not isinstance(raw, dict):
-            return None
+            return None, False
         crc = raw.pop("crc", None)
-        if crc is None and not legacy:
-            return None
-        if crc is not None and crc != crc32(
+        if crc is None:
+            return (decode(raw) if legacy else None), False
+        exact = _crc_over_bytes(chunk, crc)
+        if not exact and crc != crc32(
             json.dumps(raw, sort_keys=True).encode("utf-8")
         ):
-            return None
-        return decode(raw)
+            return None, False
+        return decode(raw), exact
     except (ValueError, KeyError, TypeError):
-        return None
+        return None, False
+
+
+def _read_lines(
+    path: Path, decode: Callable[[dict], Any], legacy: bool
+) -> Iterator[tuple[int, int, bytes, Any, bool]]:
+    """Stream ``(number, end offset, chunk) + _parse(chunk)`` for every line.
+
+    Streamed line by line: a whole-file read would allocate (and free)
+    a buffer the size of the log on every pass.
+    """
+    offset = 0
+    with open(path, "rb") as handle:
+        for number, chunk in enumerate(handle, start=1):
+            offset += len(chunk)
+            yield (number, offset, chunk) + _parse(chunk, decode, legacy)
 
 
 @dataclass(frozen=True)
@@ -116,21 +172,16 @@ def scan_log(
     if not path.exists():
         return None
     lines = []
-    valid_end = offset = 0
-    # Streamed line by line: a whole-file read would allocate (and free)
-    # a buffer the size of the log on every scan.
-    with open(path, "rb") as handle:
-        for number, chunk in enumerate(handle, start=1):
-            start, offset = offset, offset + len(chunk)
-            text = chunk.decode("utf-8", errors="replace").strip()
-            if not text:
-                valid_end = offset
-                continue
-            record = _parse(text, decode, legacy)
-            lines.append((number, start, record))
-            if record is not None:
-                valid_end = offset
-    return LogScan(lines=tuple(lines), size=offset, valid_end=valid_end)
+    valid_end = size = 0
+    for number, end, _, record, _ in _read_lines(path, decode, legacy):
+        start, size = size, end
+        if record is _BLANK:
+            valid_end = end
+            continue
+        lines.append((number, start, record))
+        if record is not None:
+            valid_end = end
+    return LogScan(lines=tuple(lines), size=size, valid_end=valid_end)
 
 
 def set_aside(
@@ -155,7 +206,7 @@ def set_aside(
 
 def replace_atomically(
     path: Path,
-    data: bytes,
+    data: bytes | Iterable[bytes],
     *,
     temp: Path,
     sync: bool = True,
@@ -164,13 +215,18 @@ def replace_atomically(
 ) -> None:
     """Write ``temp``, fsync it, ``os.replace`` it onto ``path``.
 
-    On any failure ``temp`` is removed and ``path`` is left as it was.
-    ``fsync_site``/``replace_site`` name fault-injection points traversed
+    ``data`` is the bytes, or an iterable of byte chunks written as they
+    come (so a rewrite can stream).  On any failure, including one
+    raised by that iterable, ``temp`` is removed and ``path`` is left as
+    it was.  ``fsync_site``/``replace_site`` name fault-injection points traversed
     just before the fsync and the rename.
     """
     try:
         with open(temp, "wb") as handle:
-            handle.write(data)
+            if isinstance(data, bytes):
+                handle.write(data)
+            else:
+                handle.writelines(data)
             handle.flush()
             if fsync_site is not None:
                 fault_point(fsync_site)
@@ -222,23 +278,11 @@ class CrcLog:
 
         A torn tail is skipped; a damaged line followed by an intact
         record raises :class:`PersistenceError`.  The whole file is
-        scanned before the first record is yielded, so records appended
-        while the caller iterates are not yielded.
+        verified before the first record is yielded, so a corrupt file
+        yields nothing, and records appended while the caller iterates
+        are not yielded.
         """
-        scan = scan_log(self.path, self.decode, legacy=self.legacy)
-        if scan is None:
-            return
-        damaged = None
-        for number, _, record in scan.lines:
-            if record is None:
-                damaged = number
-            elif damaged is not None:
-                raise PersistenceError(
-                    f"{self.name} {self.path} line {damaged} is corrupt "
-                    "(non-trailing): malformed or checksum mismatch"
-                )
-            else:
-                yield record
+        yield from [record for _, record in self.intact_lines()]
 
     def heal(self) -> list[Any]:
         """Open-time recovery: cut a torn tail, return the intact records.
@@ -318,13 +362,57 @@ class CrcLog:
                 self._torn_at = start
             raise
 
-    def rewrite(self, records: list[Any], *, temp: Path, sync: bool) -> int:
-        """Atomically replace the file with ``records``; returns its size."""
-        data = b"".join(render_line(record) for record in records)
+    def intact_lines(self) -> Iterator[tuple[bytes | None, Any]]:
+        """Stream ``(line, record)`` for every intact record, oldest first.
+
+        Verifies as it goes: a damaged line followed by an intact record
+        raises :class:`PersistenceError`; blank lines and a torn tail
+        are skipped.  ``line`` is the record's newline-terminated bytes
+        when its CRC checks over them, so a rewrite can copy it
+        verbatim, and ``None`` when the record must be re-rendered (a
+        crc-less legacy line, or one whose CRC checks only against the
+        re-serialized record).
+        """
+        if not self.path.exists():
+            return
+        damaged = None
+        for number, _, chunk, record, exact in _read_lines(
+            self.path, self.decode, self.legacy
+        ):
+            if record is _BLANK:
+                continue
+            if record is None:
+                damaged = number
+                continue
+            if damaged is not None:
+                raise PersistenceError(
+                    f"{self.name} {self.path} line {damaged} is corrupt "
+                    "(non-trailing): malformed or checksum mismatch"
+                )
+            if not exact:
+                yield None, record
+            elif chunk.endswith(b"\n"):
+                yield chunk, record
+            else:
+                yield chunk + b"\n", record
+
+    def rewrite(
+        self,
+        lines: Iterable[bytes],
+        *,
+        temp: Path,
+        sync: bool,
+        fsync_site: str | None = None,
+    ) -> None:
+        """Atomically replace the file with ``lines``, streamed as they come.
+
+        ``fsync_site`` is as for :func:`replace_atomically`.
+        """
         self.close()  # the cached handle would keep writing the old inode
-        replace_atomically(self.path, data, temp=temp, sync=sync)
+        replace_atomically(
+            self.path, lines, temp=temp, sync=sync, fsync_site=fsync_site
+        )
         self._torn_at = None
-        return len(data)
 
     def close(self) -> None:
         """Close the cached append handle (reopened on the next append)."""

@@ -67,6 +67,7 @@ server-local data — never restore from an untrusted one.
 from __future__ import annotations
 
 import base64
+import itertools
 import pickle
 import re
 from dataclasses import dataclass, field
@@ -77,6 +78,7 @@ from typing import Any, Callable, Iterator
 from repro.ci.durable import (
     CrcLog,
     crc32,
+    render_line,
     replace_atomically,
     scan_log,
     set_aside,
@@ -101,6 +103,7 @@ __all__ = [
     "JournalScan",
     "scan_journal",
     "SnapshotInfo",
+    "PruneResult",
     "SnapshotStore",
     "open_state_dir",
     "encode_model",
@@ -320,11 +323,20 @@ class EventJournal:
         record with its original sequence and timestamp.  A crash at any
         point leaves either the old or the new journal, both complete.
 
+        One streamed pass verifies every line and copies each surviving
+        line's bytes verbatim when its CRC checks over them; crc-less
+        legacy lines are re-rendered with a CRC.  A damaged line with an
+        intact record after it (in the dropped prefix or among the
+        survivors), or a dropped record after a survivor, raises
+        :class:`PersistenceError` and leaves the journal untouched.  A
+        torn tail and blank lines are not carried over.
+
         Compacting to a boundary at or below a previous compaction's is
         a no-op; returns the number of records dropped this pass.
 
-        Fault-injection point: ``journal.compact`` (``errno`` — the
-        rewrite never starts; the original journal is untouched).
+        Fault-injection point: ``journal.compact`` (``errno`` — after the
+        copy, before its fsync and rename; the temp file is removed and
+        the original journal is untouched).
         """
         through = int(through_sequence)
         if through <= self._compacted_through:
@@ -334,31 +346,48 @@ class EventJournal:
                 f"cannot compact journal {self.path} through sequence "
                 f"{through}: newest record is {self.last_sequence}"
             )
-        survivors: list[JournalRecord] = []
-        dropped = 0
-        prior_dropped = 0
-        for record in self.records():
-            if record.type == COMPACTION:
-                prior_dropped = int(record.payload.get("dropped", 0))
-            if record.sequence <= through:
+        dropped = prior_dropped = 0
+
+        def compacted() -> Iterator[bytes]:
+            # Sequences rise through the file: the dropped prefix comes
+            # first, so the header's count is final at the first survivor.
+            nonlocal dropped, prior_dropped
+            lines = self._log.intact_lines()
+            first = None
+            for line, record in lines:
+                if record.sequence > through:
+                    first = (line, record)
+                    break
                 dropped += 1
-            else:
-                survivors.append(record)
-        fault_point("journal.compact")
-        header = JournalRecord(
-            sequence=through,
-            type=COMPACTION,
-            recorded_at=self._clock().isoformat(),
-            payload={
-                "compacted_through": through,
-                "dropped": prior_dropped + dropped,
-            },
-        )
+                if record.type == COMPACTION:
+                    prior_dropped = int(record.payload.get("dropped", 0))
+            yield render_line(
+                JournalRecord(
+                    sequence=through,
+                    type=COMPACTION,
+                    recorded_at=self._clock().isoformat(),
+                    payload={
+                        "compacted_through": through,
+                        "dropped": prior_dropped + dropped,
+                    },
+                )
+            )
+            if first is None:
+                return
+            for line, record in itertools.chain([first], lines):
+                if record.sequence <= through:
+                    raise PersistenceError(
+                        f"journal {self.path} is out of sequence order: "
+                        f"record {record.sequence} follows a later one"
+                    )
+                yield render_line(record) if line is None else line
+
         bytes_before = self.path.stat().st_size if self.path.exists() else 0
-        bytes_after = self._log.rewrite(
-            [header] + survivors,
+        self._log.rewrite(
+            compacted(),
             temp=self.path.with_name(self.path.name + ".compact.tmp"),
             sync=self.sync,
+            fsync_site="journal.compact",
         )
         self._compacted_through = through
         record_event(
@@ -368,7 +397,7 @@ class EventJournal:
             compacted_through=through,
             dropped=dropped,
             bytes_before=bytes_before,
-            bytes_after=bytes_after,
+            bytes_after=self.path.stat().st_size,
         )
         return dropped
 
@@ -506,6 +535,21 @@ class SnapshotInfo:
     path: Path
 
 
+class PruneResult(list):
+    """The snapshot files one :meth:`SnapshotStore.prune` removed, oldest first.
+
+    ``anchor`` is the journal sequence of the oldest retained valid
+    generation (0 when none is left): the safe compaction boundary,
+    since every snapshot still in the store anchors at or past it, so
+    replay from any of them — including an older generation reached by
+    corruption fallback — never lands in a compacted gap.
+    """
+
+    def __init__(self, *, anchor: int = 0):
+        super().__init__()
+        self.anchor = anchor
+
+
 class SnapshotStore:
     """Versioned, atomically-written snapshots of exported CI state.
 
@@ -608,7 +652,7 @@ class SnapshotStore:
         self._info_cache[sequence] = info
         return info
 
-    def prune(self, keep: int = 1) -> list[Path]:
+    def prune(self, keep: int = 1) -> PruneResult:
         """Delete old *valid* snapshots, keeping the newest ``keep`` of them.
 
         Only snapshots that verify (envelope readable, checksum intact)
@@ -617,19 +661,26 @@ class SnapshotStore:
         generation while keeping the damaged one.  Corrupt files are
         never deleted here — they are :meth:`load_latest`'s to
         quarantine and ``repro ops --fsck``'s to report.
+
+        Each generation is read and checksummed once, on disk, on every
+        call — never taken from the metadata cache, because a file this
+        process saved may have been damaged since.  Returns the removed
+        paths with the retained generations' compaction anchor (see
+        :class:`PruneResult`).
         """
         if keep < 1:
             raise PersistenceError(f"keep must be >= 1, got {keep}")
         entries = self._entries()
-        valid = [sequence for sequence, path in entries if self.verify(sequence)]
-        keep_sequences = set(valid[-keep:])
-        removed = []
+        anchors = self._valid_anchors(entries)
+        retained = sorted(anchors)[-keep:]
+        removed = PruneResult(
+            anchor=min((anchors[sequence] for sequence in retained), default=0)
+        )
         for sequence, path in entries:
-            if sequence in keep_sequences or sequence not in valid:
-                continue
-            path.unlink()
-            self._info_cache.pop(sequence, None)
-            removed.append(path)
+            if sequence in anchors and sequence not in retained:
+                path.unlink()
+                self._info_cache.pop(sequence, None)
+                removed.append(path)
         return removed
 
     # -- reading -------------------------------------------------------------
@@ -641,7 +692,8 @@ class SnapshotStore:
                 f"snapshot {sequence} not found in {self.directory}"
             )
         try:
-            envelope = pickle.loads(path.read_bytes())
+            with open(path, "rb") as handle:
+                envelope = pickle.load(handle)
             if not isinstance(envelope, dict):
                 raise ValueError(f"envelope is {type(envelope).__name__}, not dict")
         except PersistenceError:
@@ -663,6 +715,21 @@ class SnapshotStore:
                 f"snapshot {path} failed its checksum (bit-rot or torn write)"
             )
         return envelope, path
+
+    def _valid_anchors(self, entries: list[tuple[int, Path]]) -> dict[int, int]:
+        """``{sequence: journal_sequence}`` of the ``entries`` that verify.
+
+        Reads and checksums each file on disk, without unpickling its
+        payload; corrupt or unsupported generations are left out.
+        """
+        anchors = {}
+        for sequence, _ in entries:
+            try:
+                envelope, _ = self._read_envelope(sequence)
+            except PersistenceError:
+                continue
+            anchors[sequence] = int(envelope.get("journal_sequence", 0))
+        return anchors
 
     def verify(self, sequence: int) -> bool:
         """Whether snapshot ``sequence`` exists and passes integrity checks."""

@@ -95,7 +95,7 @@ from repro.exceptions import (
 )
 from repro.reliability.events import record_event, reliability_events
 from repro.reliability.faults import InjectedFault
-from repro.reliability.storage import StorageGovernor, retention_anchor
+from repro.reliability.storage import StorageGovernor, apply_retention
 
 __all__ = ["BuildRecord", "CIService", "OperationsReport", "SERVICE_STATE_FORMAT"]
 
@@ -816,16 +816,7 @@ class CIService:
         """
         if self._keep_snapshots is None or self._store is None:
             return
-        if self._store.latest_sequence:
-            self._store.prune(keep=self._keep_snapshots)
-        if self._journal is None:
-            return
-        anchor = retention_anchor(self._store)
-        if (
-            anchor > self._journal.compacted_through
-            and anchor <= self._journal.last_sequence
-        ):
-            self._journal.compact(anchor)
+        apply_retention(self._store, self._journal, keep=self._keep_snapshots)
 
     def _storage_gate(self, count: int) -> None:
         """Commit-admission gate installed when a governor is attached.

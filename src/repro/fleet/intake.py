@@ -324,7 +324,7 @@ class IntakeQueue:
             recorded_at=self._clock().isoformat(),
         )
         self._log.rewrite(
-            [cursor] + pending,
+            map(render_line, [cursor] + pending),
             temp=self.path.with_name(self.path.name + ".tmp"),
             sync=self.sync,
         )

@@ -27,9 +27,11 @@ site                      instrumented where
                           (ENOSPC/EIO) is the full-disk / dying-disk
                           case before any byte lands
 ``journal.fsync``         the journal's per-append fsync
-``journal.compact``       :meth:`EventJournal.compact`, before the
-                          temp-then-rename rewrite — an aborted
-                          compaction leaves the original journal intact
+``journal.compact``       :meth:`EventJournal.compact`, after the
+                          verified copy into its temp file and before
+                          the fsync and rename — an aborted compaction
+                          removes the temp file and leaves the
+                          original journal intact
 ``snapshot.rename``       the snapshot's final ``os.replace`` — ``errno``
                           removes the temp file and leaves no new
                           generation visible; the previous snapshot

@@ -44,6 +44,7 @@ __all__ = [
     "MaintenanceReport",
     "directory_bytes",
     "retention_anchor",
+    "apply_retention",
     "maintain_state_dir",
 ]
 
@@ -197,20 +198,28 @@ def retention_anchor(store) -> int:
     This is the safe compaction boundary after a prune: every snapshot
     still in the store anchors at or past it, so replay from any of
     them — including an older generation reached by corruption
-    fallback — never lands in a compacted gap.
+    fallback — never lands in a compacted gap.  A retention pass gets
+    it from :meth:`~repro.ci.persistence.SnapshotStore.prune` instead;
+    this reads every generation again, for callers that only inspect.
     """
-    from repro.exceptions import PersistenceError
+    return min(store._valid_anchors(store._entries()).values(), default=0)
 
-    anchors = []
-    for sequence, _path in store._entries():
-        try:
-            # Checksums the envelope without unpickling the payload;
-            # corrupt/unsupported generations are simply not anchors.
-            envelope, _ = store._read_envelope(sequence)
-        except PersistenceError:
-            continue
-        anchors.append(int(envelope.get("journal_sequence", 0)))
-    return min(anchors) if anchors else 0
+
+def apply_retention(store, journal, *, keep: int) -> tuple[list[Path], int]:
+    """One retention pass: prune ``store``, then compact ``journal``.
+
+    Keeps the newest ``keep`` valid snapshots and checkpoint-truncates
+    the journal (when given) through the oldest retained one's anchor,
+    if that anchor is past the journal's last compaction and not past
+    its newest record.  Each generation is read once, by the prune.
+    Returns the removed snapshot paths and the journal records dropped.
+    """
+    pruned = store.prune(keep=keep)
+    if journal is None or not (
+        journal.compacted_through < pruned.anchor <= journal.last_sequence
+    ):
+        return pruned, 0
+    return pruned, journal.compact(pruned.anchor)
 
 
 def maintain_state_dir(
@@ -225,11 +234,12 @@ def maintain_state_dir(
 
     Opens the directory's :class:`~repro.ci.persistence.SnapshotStore`
     and :class:`~repro.ci.persistence.EventJournal` (or uses the ones
-    passed in, for callers that already hold them), keeps the newest
-    ``keep`` valid snapshots, then compacts the journal through the
-    oldest retained valid anchor.  Purely reclamatory — nothing new is
-    written beyond the journal rewrite, so this is the reclamation step
-    a hard-watermark (read-only) state dir runs to dig itself out.
+    passed in, for callers that already hold them) and runs
+    :func:`apply_retention` over them: keep the newest ``keep`` valid
+    snapshots, then compact the journal through the oldest retained
+    valid anchor.  Purely reclamatory — nothing new is written beyond
+    the journal rewrite, so this is the reclamation step a
+    hard-watermark (read-only) state dir runs to dig itself out.
     """
     from repro.ci.persistence import EventJournal, SnapshotStore
 
@@ -239,11 +249,7 @@ def maintain_state_dir(
         store = SnapshotStore(state_dir / "snapshots")
     if journal is None:
         journal = EventJournal(state_dir / "journal.jsonl", sync=sync)
-    pruned = store.prune(keep=keep) if store.latest_sequence else []
-    anchor = retention_anchor(store)
-    dropped = 0
-    if anchor > journal.compacted_through and anchor <= journal.last_sequence:
-        dropped = journal.compact(anchor)
+    pruned, dropped = apply_retention(store, journal, keep=keep)
     report = MaintenanceReport(
         state_dir=state_dir,
         pruned_snapshots=len(pruned),

@@ -12,12 +12,24 @@ uninterrupted run in all three adaptivity modes.
 Also here: the self-healing-append regression — a failed fsync used to
 leave a fully-written (valid-looking) line on disk for an event the
 caller was told never happened; a later append would then mint a
-duplicate sequence.
+duplicate sequence.  And the cost contract of the retention pass: the
+compaction is a verified byte copy whose output equals a parse and
+re-render of every record, and one snapshot's prune reads each
+generation once while still checking it on disk.
 """
 
+import builtins
+import io
+import json
+import re
 import sys
+from dataclasses import asdict
+from datetime import datetime, timezone
+from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 sys.path.insert(0, "tests/ci")
 from test_restart_parity import (  # noqa: E402
@@ -29,9 +41,17 @@ from test_restart_parity import (  # noqa: E402
     run_reference,
 )
 
+from repro.ci.durable import (  # noqa: E402
+    _BLANK,
+    _parse,
+    crc32,
+    render_line,
+)
 from repro.ci.persistence import (  # noqa: E402
     COMPACTION,
     EventJournal,
+    JournalRecord,
+    SnapshotStore,
     scan_journal,
 )
 from repro.ci.service import CIService  # noqa: E402
@@ -356,3 +376,305 @@ def test_aggressive_compaction_restarts_restore_identically(
     on_disk = list((state_dir / "snapshots").glob("snapshot-*.pkl"))
     assert len(on_disk) == 1
     assert max(journal_sizes) <= 2 * min(journal_sizes)
+
+
+# ---------------------------------------------------------------------------
+# The verified byte copy: integrity contract
+# ---------------------------------------------------------------------------
+
+def damage_line(path, number):
+    """Change a payload digit on 1-based line ``number``: valid JSON, bad CRC."""
+    lines = path.read_bytes().splitlines(keepends=True)
+    lines[number - 1] = re.sub(
+        rb'"payload": \{"sequence": (\d+)\}',
+        lambda match: b'"payload": {"sequence": 9' + match.group(1) + b"}",
+        lines[number - 1],
+    )
+    path.write_bytes(b"".join(lines))
+
+
+class TestCompactionContract:
+    @pytest.mark.parametrize("line", [2, 5], ids=["dropped-prefix", "survivor"])
+    def test_crc_damage_raises_and_leaves_the_file(self, tmp_path, line):
+        journal = make_journal(tmp_path, events=6)
+        journal.close()
+        damage_line(journal.path, line)
+        before = journal.path.read_bytes()
+        with pytest.raises(PersistenceError, match=f"line {line} is corrupt"):
+            journal.compact(3)
+        assert journal.path.read_bytes() == before
+        assert journal.compacted_through == 0
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["journal.jsonl"]
+
+    def test_torn_tail_is_not_copied(self, tmp_path):
+        journal = make_journal(tmp_path, events=4)
+        journal.close()
+        intact = journal.path.read_bytes()
+        with open(journal.path, "ab") as handle:
+            handle.write(render_line(JournalRecord(5, "alarm", "t"))[:30])
+        journal.compact(2)
+        assert journal.path.read_bytes() == reference_compact(
+            intact, 2, journal.path.read_bytes().split(b"\n")[0]
+        )
+        assert scan_journal(journal.path).torn_tail_bytes == 0
+
+    def test_last_survivor_without_newline_gains_one(self, tmp_path):
+        journal = make_journal(tmp_path, events=4)
+        journal.close()
+        intact = journal.path.read_bytes()
+        journal.path.write_bytes(intact[:-1])
+        journal.compact(2)
+        assert journal.path.read_bytes() == reference_compact(
+            intact, 2, journal.path.read_bytes().split(b"\n")[0]
+        )
+
+    def test_blank_lines_are_dropped(self, tmp_path):
+        journal = make_journal(tmp_path, events=4)
+        journal.close()
+        lines = journal.path.read_bytes().splitlines(keepends=True)
+        journal.path.write_bytes(
+            b"\n" + lines[0] + b"  \n" + b"".join(lines[1:3]) + b"\n\n" + lines[3]
+        )
+        journal.compact(1)
+        compacted = journal.path.read_bytes().splitlines()
+        assert all(line.strip() for line in compacted)
+        assert [r.sequence for r in journal.records()] == [1, 2, 3, 4]
+
+    def test_dropped_record_after_a_survivor_raises(self, tmp_path):
+        journal = make_journal(tmp_path, events=3)
+        journal.close()
+        with open(journal.path, "ab") as handle:
+            handle.write(render_line(JournalRecord(1, "alarm", "t")))
+        before = journal.path.read_bytes()
+        with pytest.raises(PersistenceError, match="out of sequence order"):
+            journal.compact(2)
+        assert journal.path.read_bytes() == before
+
+    def test_injected_errno_leaves_the_file_and_no_temp(self, tmp_path):
+        journal = make_journal(tmp_path, events=4)
+        before = journal.path.read_bytes()
+        rule = FaultRule(
+            site="journal.compact", action="errno", errno_name="ENOSPC", at=1
+        )
+        with injected_faults([rule]):
+            with pytest.raises(OSError):
+                journal.compact(2)
+        assert journal.path.read_bytes() == before
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["journal.jsonl"]
+        assert journal.compact(2) == 2
+
+
+# ---------------------------------------------------------------------------
+# The verified byte copy: property tests against parse-and-re-render
+# ---------------------------------------------------------------------------
+
+STAMP = datetime(2019, 3, 31, tzinfo=timezone.utc)
+
+
+def decode_journal(raw):
+    return JournalRecord(
+        sequence=int(raw["sequence"]),
+        type=str(raw["type"]),
+        recorded_at=str(raw["recorded_at"]),
+        payload=dict(raw.get("payload") or {}),
+    )
+
+
+def reference_parse(text):
+    """The re-serialization check: parse, pop ``crc``, re-dump, compare."""
+    try:
+        raw = json.loads(text)
+        if not isinstance(raw, dict):
+            return None
+        crc = raw.pop("crc", None)
+        if crc is not None and crc != crc32(
+            json.dumps(raw, sort_keys=True).encode("utf-8")
+        ):
+            return None
+        return decode_journal(raw)
+    except (ValueError, KeyError, TypeError):
+        return None
+
+
+def reference_compact(data, through, header_line):
+    """Compaction by parse and re-render of every record.
+
+    ``header_line`` supplies the header's timestamp.  Assumes no
+    non-trailing damage.
+    """
+    records = []
+    for chunk in data.split(b"\n"):
+        text = chunk.decode("utf-8", errors="replace").strip()
+        if text:
+            record = reference_parse(text)
+            if record is not None:
+                records.append(record)
+    dropped = [r for r in records if r.sequence <= through]
+    prior = [r for r in dropped if r.type == COMPACTION]
+    header = JournalRecord(
+        sequence=through,
+        type=COMPACTION,
+        recorded_at=json.loads(header_line)["recorded_at"],
+        payload={
+            "compacted_through": through,
+            "dropped": len(dropped)
+            + (int(prior[-1].payload.get("dropped", 0)) if prior else 0),
+        },
+    )
+    survivors = [r for r in records if r.sequence > through]
+    return b"".join(render_line(r) for r in [header] + survivors)
+
+
+def legacy_line(record):
+    """A crc-less line, as journals were written before checksums."""
+    return (json.dumps(asdict(record), sort_keys=True) + "\n").encode()
+
+
+json_scalars = (
+    st.none()
+    | st.booleans()
+    | st.integers(min_value=-(2**63), max_value=2**63)
+    | st.floats(allow_nan=False, allow_infinity=False)
+    | st.text(max_size=12)
+)
+json_values = st.recursive(
+    json_scalars,
+    lambda children: st.lists(children, max_size=4)
+    | st.dictionaries(st.text(max_size=6), children, max_size=4),
+    max_leaves=12,
+)
+payloads = st.dictionaries(st.text(max_size=8), json_values, max_size=4)
+
+
+class TestByteCopyProperties:
+    @settings(max_examples=25, deadline=None)
+    @given(
+        initial=st.lists(st.tuples(payloads, st.booleans()), max_size=6),
+        rounds=st.lists(
+            st.tuples(
+                st.lists(payloads, max_size=4), st.integers(0, 10), st.booleans()
+            ),
+            min_size=1,
+            max_size=3,
+        ),
+    )
+    def test_output_equals_parse_and_rerender(self, tmp_path_factory, initial, rounds):
+        path = tmp_path_factory.mktemp("journal") / "journal.jsonl"
+        path.write_bytes(
+            b"".join(
+                (legacy_line if legacy else render_line)(
+                    JournalRecord(number, "commit-received", "2019", payload)
+                )
+                for number, (payload, legacy) in enumerate(initial, start=1)
+            )
+        )
+        journal = EventJournal(path, sync=False, clock=lambda: STAMP)
+        for appended, step, blank in rounds:
+            for payload in appended:
+                journal.append("build-recorded", payload)
+            journal.close()
+            if blank:
+                with open(path, "ab") as handle:
+                    handle.write(b"\n")
+            low, high = journal.compacted_through, journal.last_sequence
+            if high <= low:
+                continue
+            through = low + 1 + step % (high - low)
+            before = path.read_bytes()
+            journal.compact(through)
+            after = path.read_bytes()
+            assert after == reference_compact(
+                before, through, after.split(b"\n")[0]
+            )
+
+    @settings(max_examples=12, deadline=None)
+    @given(payload=payloads, sequence=st.integers(1, 10**6))
+    def test_byte_check_verdict_equals_redump_on_flips_and_truncations(
+        self, payload, sequence
+    ):
+        line = render_line(JournalRecord(sequence, "alarm", "2019", payload))
+        record = reference_parse(line.decode())
+        assert record is not None
+        assert _parse(line, decode_journal, True) == (record, True)
+        variants = [line[:end] for end in range(len(line))]
+        variants += [
+            line[:at] + bytes([line[at] ^ mask]) + line[at + 1 :]
+            for at in range(len(line))
+            for mask in (1, 2, 4, 8, 16, 32, 64, 128, 255)
+        ]
+        for variant in variants:
+            text = variant.decode("utf-8", errors="replace").strip()
+            expected = reference_parse(text) if text else _BLANK
+            got, exact = _parse(variant, decode_journal, True)
+            assert got == expected, variant
+            if exact:
+                assert expected is not None, variant
+
+
+# ---------------------------------------------------------------------------
+# One retention pass reads each generation once, and still on disk
+# ---------------------------------------------------------------------------
+
+SNAPSHOT_FILE = re.compile(r"snapshot-\d{6}\.pkl")
+
+
+class TestRetentionPassWork:
+    def make_persisted(self, tmp_path, keep):
+        script = make_script("full")
+        testsets, baseline, models = make_world(script, commits=2)
+        service = make_service(script, testsets, baseline)
+        service.persist_to(
+            tmp_path / "state", snapshot_every=100, keep_snapshots=keep, sync=False
+        )
+        for model in models[:2]:
+            service.repository.commit(model, message=model.name)
+        return service, tmp_path / "state" / "snapshots"
+
+    def test_one_snapshot_reads_each_snapshot_file_once(
+        self, tmp_path, monkeypatch
+    ):
+        service, snapshots = self.make_persisted(tmp_path, keep=3)
+        service.snapshot()
+        service.snapshot()
+        assert len(list(snapshots.glob("snapshot-*.pkl"))) == 3
+        reads = []
+        real_open = io.open
+
+        def counting_open(file, mode="r", *args, **kwargs):
+            if (
+                isinstance(file, (str, Path))
+                and "r" in mode
+                and SNAPSHOT_FILE.fullmatch(Path(file).name)
+            ):
+                reads.append(Path(file).name)
+            return real_open(file, mode, *args, **kwargs)
+
+        monkeypatch.setattr(builtins, "open", counting_open)
+        monkeypatch.setattr(io, "open", counting_open)
+        service.snapshot()  # saves generation 4, then prunes back to 3
+        monkeypatch.undo()
+        assert sorted(reads) == [f"snapshot-00000{n}.pkl" for n in range(1, 5)]
+        assert sorted(p.name for p in snapshots.glob("snapshot-*.pkl")) == [
+            f"snapshot-00000{n}.pkl" for n in range(2, 5)
+        ]
+
+    def test_truncated_newest_generation_keeps_the_older_valid_one(
+        self, tmp_path, monkeypatch
+    ):
+        service, snapshots = self.make_persisted(tmp_path, keep=1)
+        real_save = SnapshotStore.save
+
+        def save_then_truncate(store, payload, **kwargs):
+            info = real_save(store, payload, **kwargs)
+            info.path.write_bytes(info.path.read_bytes()[:80])
+            return info
+
+        monkeypatch.setattr(SnapshotStore, "save", save_then_truncate)
+        service.snapshot()
+        monkeypatch.undo()
+        # The process saved generation 2 itself, but it no longer
+        # verifies: generation 1 is the newest valid one and must stay.
+        assert service._store.verify(1)
+        assert (snapshots / "snapshot-000002.pkl").exists()
+        restored = CIService.resume(tmp_path / "state", record=False)
+        assert len(restored.repository) == len(service.repository) == 2
