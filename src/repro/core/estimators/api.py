@@ -61,6 +61,14 @@ __all__ = ["SampleSizeEstimator"]
 # configuration, so differently-configured estimators never collide.
 _PLAN_CACHE = register_cache("estimators.plan_cache", LRUCache(maxsize=512))
 
+# Estimator config keys that states persisted by earlier releases carry,
+# with the values those releases accepted and planned identically to
+# today's single tier.  Restoring drops them; any other value is refused.
+_RETIRED_CONFIG_KEYS = {
+    "precision": ("float64", "float32"),
+    "kernel": ("numpy",),
+}
+
 
 @dataclass(frozen=True)
 class _ReliabilitySpec:
@@ -94,18 +102,6 @@ class SampleSizeEstimator:
         Size single-variable clauses by §4.3 exact binomial inversion
         instead of Hoeffding (never larger; 10–40% smaller typically).
         Off by default because the paper's headline tables use Hoeffding.
-    precision:
-        Accumulation tier of the exact-binomial planning kernels:
-        ``"float64"`` (default, bit-identical to every release so far) or
-        ``"float32"`` (half the memory traffic in the bandwidth-bound
-        scans).  Reduced-precision probes are *certified, not trusted* —
-        every adopted sample size is re-checked against the float64
-        reference, so plans never weaken (see
-        :func:`repro.stats.tight_bounds.tight_sample_size`).
-    kernel:
-        ``"numpy"`` (default) or ``"jit"`` — the optional Numba windowed
-        scan registered as kernel backend ``"jit"`` and certified by the
-        conformance suite.  Requires numba; validated eagerly.
     use_plan_cache:
         Serve repeated :meth:`plan` calls from a process-wide LRU cache
         keyed on the normalized condition source, the reliability spec and
@@ -143,8 +139,6 @@ class SampleSizeEstimator:
         use_exact_binomial: bool = False,
         use_plan_cache: bool = True,
         workers: int | str | None = None,
-        precision: str = "float64",
-        kernel: str = "numpy",
     ):
         if optimizations not in ("auto", "none"):
             raise InvalidParameterError(
@@ -155,21 +149,6 @@ class SampleSizeEstimator:
                 f"variance_bound_policy must be one of {self._POLICIES}, "
                 f"got {variance_bound_policy!r}"
             )
-        if precision not in ("float64", "float32"):
-            raise InvalidParameterError(
-                f"precision must be 'float64' or 'float32', got {precision!r}"
-            )
-        if kernel not in ("numpy", "jit"):
-            raise InvalidParameterError(
-                f"kernel must be 'numpy' or 'jit', got {kernel!r}"
-            )
-        if kernel == "jit":
-            from repro.stats.jit import NUMBA_AVAILABLE
-
-            if not NUMBA_AVAILABLE:
-                raise InvalidParameterError(
-                    "kernel='jit' requires numba, which is not importable"
-                )
         if workers is not None:
             resolve_workers(workers)  # validate eagerly; resolve per call
         self.optimizations = optimizations
@@ -177,8 +156,6 @@ class SampleSizeEstimator:
         self.use_exact_binomial = bool(use_exact_binomial)
         self.use_plan_cache = bool(use_plan_cache)
         self.workers = workers
-        self.precision = precision
-        self.kernel = kernel
 
     # -- plan cache --------------------------------------------------------------
     def _config_key(self) -> tuple:
@@ -186,18 +163,15 @@ class SampleSizeEstimator:
             self.optimizations,
             self.variance_bound_policy,
             self.use_exact_binomial,
-            self.precision,
-            self.kernel,
         )
 
     def export_config(self) -> dict[str, Any]:
         """Constructor kwargs reproducing this estimator.
 
         This is what engine snapshots persist instead of the estimator
-        object's caches: ``SampleSizeEstimator(**config)`` on restore
-        yields an estimator whose plans are bit-identical to the
-        originals (plans are pure functions of condition, spec and this
-        configuration).
+        object's caches: :meth:`from_config` on restore yields an
+        estimator whose plans are bit-identical to the originals (plans
+        are pure functions of condition, spec and this configuration).
         """
         return {
             "optimizations": self.optimizations,
@@ -205,9 +179,28 @@ class SampleSizeEstimator:
             "use_exact_binomial": self.use_exact_binomial,
             "use_plan_cache": self.use_plan_cache,
             "workers": self.workers,
-            "precision": self.precision,
-            "kernel": self.kernel,
         }
+
+    @classmethod
+    def from_config(cls, config: Mapping[str, Any]) -> "SampleSizeEstimator":
+        """Rebuild an estimator from a persisted :meth:`export_config` mapping.
+
+        The one reader of persisted configs.  Configs written by earlier
+        releases also carry ``precision`` and ``kernel``; every value
+        those releases accepted here planned bit-identically to today's
+        single tier, so the keys are dropped.  Any other value raises
+        :class:`~repro.exceptions.InvalidParameterError`.
+        """
+        config = dict(config)
+        for key, accepted in _RETIRED_CONFIG_KEYS.items():
+            if key not in config:
+                continue
+            value = config.pop(key)
+            if value not in accepted:
+                raise InvalidParameterError(
+                    f"cannot restore an estimator config with {key}={value!r}"
+                )
+        return cls(**config)
 
     @staticmethod
     def plan_cache_info() -> CacheInfo:
@@ -432,12 +425,7 @@ class SampleSizeEstimator:
             )
         if strategy is ClauseStrategy.EXACT_BINOMIAL:
             samples = float(
-                tight_sample_size(
-                    clause.tolerance,
-                    min(delta_clause, 0.5),
-                    precision=self.precision,
-                    kernel=self.kernel,
-                )
+                tight_sample_size(clause.tolerance, min(delta_clause, 0.5))
             )
             lin = linearize(clause)
             (variable,) = lin.variables()
@@ -569,7 +557,7 @@ def _warm_plan_cache(manifest: Mapping[str, Any]) -> None:
     for request in manifest.get("plans", ()):
         config = dict(request.get("estimator") or {})
         config["workers"] = "serial"
-        estimator = SampleSizeEstimator(**config)
+        estimator = SampleSizeEstimator.from_config(config)
         estimator.plan(
             request["condition"],
             delta=request["delta"],

@@ -65,7 +65,7 @@ class DefaultPlanner:
         serial setting leaves the supplied instance untouched).
         """
         if config is not None:
-            estimator = SampleSizeEstimator(**dict(config))
+            estimator = SampleSizeEstimator.from_config(config)
         elif estimator is None:
             estimator = SampleSizeEstimator(workers=workers)
         elif workers is not None and resolve_workers(workers) > 1:

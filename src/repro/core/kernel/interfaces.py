@@ -5,7 +5,7 @@ condition over confidence intervals, account for adaptivity — used to be
 threaded through one concrete class per layer.  These three protocols are
 the narrow seams the :class:`~repro.core.engine.CIEngine` and
 :class:`~repro.ci.service.CIService` orchestrate over instead, so a new
-planning tier (Bayesian posteriors), a new serving kernel (a jit'd
+planning tier (Bayesian posteriors), a new serving kernel (a compiled
 evaluator) or a new durability layer plugs in by *registration*
 (:mod:`repro.core.kernel.registry`) — never by editing the engine.
 

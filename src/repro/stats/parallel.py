@@ -188,13 +188,11 @@ def _chunked(items: list, chunks: int) -> list[list]:
 def _epsilon_chunk_task(payload: tuple) -> tuple[np.ndarray, dict[str, Any]]:
     """One shard of an epsilon sweep: serial scan + the worker's manifest."""
     _worker_fault_point()
-    ns, delta, tol, grid, refine, precision = payload
+    ns, delta, tol, grid, refine = payload
     ns_arr = np.asarray(ns, dtype=np.int64)
-    eps = cached_epsilon_sweep(
-        ns_arr, delta, tol=tol, grid=grid, refine=refine, precision=precision
-    )
+    eps = cached_epsilon_sweep(ns_arr, delta, tol=tol, grid=grid, refine=refine)
     if eps is None:
-        eps = _compute_epsilon_sweep(ns_arr, delta, tol, grid, refine, precision)
+        eps = _compute_epsilon_sweep(ns_arr, delta, tol, grid, refine)
     return np.asarray(eps, dtype=np.float64), export_manifest()
 
 
@@ -461,19 +459,14 @@ class PlanningExecutor:
         tol: float = 1e-6,
         grid: int = 256,
         refine: int = 2,
-        precision: str = "float64",
     ) -> np.ndarray:
         """Sharded :func:`repro.stats.tight_bounds.tight_epsilon_many`.
 
         Element-wise identical to the serial sweep (same memo key, same
         anchors planted); the parent's caches end up warm exactly as if
-        the sweep had run in-process.  ``precision`` selects the advisory
-        tier of the underlying sweep; certification stays float64 in the
-        workers exactly as it does serially.
+        the sweep had run in-process.
         """
-        cached = cached_epsilon_sweep(
-            ns, delta, tol=tol, grid=grid, refine=refine, precision=precision
-        )
+        cached = cached_epsilon_sweep(ns, delta, tol=tol, grid=grid, refine=refine)
         if cached is not None:
             return cached
         ns_arr = np.atleast_1d(np.asarray(ns)).astype(np.int64)
@@ -481,10 +474,8 @@ class PlanningExecutor:
         if self.processes == 1 or self._degraded or len(shards) < 2:
             # The cached_epsilon_sweep miss above was this call's one
             # recorded lookup; compute probe-free so stats stay 1:1.
-            return _compute_epsilon_sweep(ns_arr, delta, tol, grid, refine, precision)
-        payloads = [
-            (shard.tolist(), delta, tol, grid, refine, precision) for shard in shards
-        ]
+            return _compute_epsilon_sweep(ns_arr, delta, tol, grid, refine)
+        payloads = [(shard.tolist(), delta, tol, grid, refine) for shard in shards]
         outputs = self._run_tasks(_epsilon_chunk_task, payloads)
         for _, manifest in outputs:
             merge_manifest(manifest)
@@ -498,7 +489,6 @@ class PlanningExecutor:
             tol=tol,
             grid=grid,
             refine=refine,
-            precision=precision,
         )
 
     def tight_sample_size_many(

@@ -23,6 +23,7 @@ from repro.ci.persistence import (
 from repro.ci.repository import ModelRepository
 from repro.ci.service import CIService
 from repro.core.estimators.api import SampleSizeEstimator
+from repro.core.kernel import DirectoryStateStore
 from repro.core.script.config import CIScript
 from repro.core.testset import Testset
 from repro.exceptions import PersistenceError
@@ -300,9 +301,9 @@ class TestServicePersistence:
         assert types.index(COMMIT_RECEIVED) < types.index(BUILD_RECORDED)
 
     def test_restore_without_snapshot_raises(self, tmp_path):
-        store, journal = open_state_dir(tmp_path / "state")
+        store = DirectoryStateStore.open(tmp_path / "state")
         with pytest.raises(PersistenceError, match="no snapshot"):
-            CIService.restore(store, journal)
+            CIService.restore(store)
 
     def test_restore_records_event(self, world, tmp_path):
         script, testset, baseline, models = world
@@ -538,6 +539,44 @@ class TestColdProcessRestore:
         reference.repository.commit(models[3], message="m3")
         assert restored.builds[-1].result == reference.builds[-1].result
 
+    def test_state_with_retired_estimator_keys_restores_identically(self, world):
+        # States written before the single float64 planning tier carry
+        # "precision" and "kernel" in the engine's estimator config and in
+        # every warm-manifest plan request.
+        from repro.exceptions import InvalidParameterError
+        from repro.stats.cache import clear_all_caches
+
+        script, testset, baseline, models = world
+        service = make_service(script, testset, baseline)
+        for model in models[:2]:
+            service.repository.commit(model, message=model.name)
+        payload = pickle.dumps(service.export_state())
+
+        def legacy_state(**keys):
+            state = pickle.loads(payload)
+            engine = state["engine"]
+            engine["estimator"].update(keys)
+            for request in engine["warm_manifest"]["plans"]:
+                request["estimator"].update(keys)
+            return state
+
+        clear_all_caches()
+        expected = CIService.from_state(pickle.loads(payload))
+        expected.repository.commit(models[2], message="m2")
+        for precision in ("float64", "float32"):
+            clear_all_caches()
+            restored = CIService.from_state(
+                legacy_state(precision=precision, kernel="numpy")
+            )
+            assert restored.plan == expected.plan
+            restored.repository.commit(models[2], message="m2")
+            assert [b.result for b in restored.builds] == [
+                b.result for b in expected.builds
+            ]
+            assert "precision" not in restored.engine.export_state()["estimator"]
+        with pytest.raises(InvalidParameterError, match="kernel='jit'"):
+            CIService.from_state(legacy_state(kernel="jit"))
+
 
 class TestOperationsReport:
     def test_fields_without_persistence(self, world):
@@ -568,7 +607,9 @@ class TestOperationsReport:
     def test_describe_with_store_but_no_journal(self, world, tmp_path):
         script, testset, baseline, _ = world
         service = make_service(script, testset, baseline)
-        service.attach_persistence(SnapshotStore(tmp_path / "snaps"))
+        service.attach_persistence(
+            DirectoryStateStore(SnapshotStore(tmp_path / "snaps"))
+        )
         service.snapshot()
         report = service.operations()
         assert report.journal_lag is None

@@ -97,22 +97,6 @@ class TestExecutorParity:
         assert not exceeds_delta_many(SIZES, sharded, DELTA).any()
         assert exceeds_delta_many(SIZES, sharded - TOL, DELTA).all()
 
-    def test_float32_epsilon_sweep_identical_and_certified(self):
-        clear_all_caches()
-        serial = tight_epsilon_many(SIZES, DELTA, tol=TOL, precision="float32")
-        clear_all_caches()
-        with PlanningExecutor(2) as executor:
-            sharded = executor.tight_epsilon_many(
-                SIZES, DELTA, tol=TOL, precision="float32"
-            )
-        assert np.array_equal(serial, sharded)
-        # Certified against full-fidelity float64 probes either way.
-        assert not exceeds_delta_many(SIZES, sharded, DELTA).any()
-        assert exceeds_delta_many(SIZES, sharded - TOL, DELTA).all()
-        # And within one bracket width of the float64 tier's answer.
-        float64 = tight_epsilon_many(SIZES, DELTA, tol=TOL)
-        assert np.all(np.abs(sharded - float64) <= 2 * TOL)
-
     def test_pool_lifecycle_publishes_and_releases_the_shared_table(self):
         clear_all_caches()
         log_factorial_table(4096)  # a table worth publishing
@@ -260,7 +244,7 @@ class TestEngineWiring:
 
     def test_engine_workers_reach_the_estimator(self):
         engine, _ = self.make_world(workers=2)
-        assert engine.estimator.workers == 2
+        assert engine.planner.estimator.workers == 2
 
     def test_custom_estimator_is_rebuilt_with_workers(self):
         from repro.core.script.config import CIScript
@@ -294,8 +278,8 @@ class TestEngineWiring:
             estimator=estimator,
             workers=2,
         )
-        assert engine.estimator.workers == 2
-        assert engine.estimator.use_exact_binomial is True
+        assert engine.planner.estimator.workers == 2
+        assert engine.planner.estimator.use_exact_binomial is True
 
     def test_parallel_engine_results_match_serial(self):
         serial_engine, pair = self.make_world()

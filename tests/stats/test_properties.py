@@ -9,8 +9,10 @@ reproduce exactly.
    that every element's value is a pure function of its own
    ``(n, p, epsilon, sigmas, slack)``: fuse a random batch, split it at
    random boundaries, permute it — bit-identical results however the
-   surrounding batch is composed.  This is the property the parallel
-   planning executor stands on when it shards sweeps across processes.
+   surrounding batch is composed, for the fused kernel and the reference
+   loop alike.  This is the property the parallel planning executor
+   stands on when it shards sweeps across processes.  The fused kernel
+   is also bit-identical to the reference loop it replaced.
 
 2. **Cache-manifest merge algebra** — :func:`repro.stats.cache.merge_manifest`
    must be idempotent (a cache's own export folds back in as a no-op)
@@ -23,6 +25,7 @@ from __future__ import annotations
 import random
 
 import numpy as np
+import pytest
 
 import repro.stats.cache as cache_mod
 from repro.stats.batch import exact_coverage_failure_probability_pairs
@@ -51,10 +54,14 @@ def _seeded(trial, seed: int) -> None:
 # ---------------------------------------------------------------------------
 
 
-def _random_triples(rng: random.Random, size: int):
+def _random_triples(rng: random.Random, size: int, *, large: float = 0.0):
+    """Random ``(n, p, eps)``; a ``large`` share of rows has n in 1e4..6e4."""
     ns, ps, epss = [], [], []
     for _ in range(size):
-        ns.append(rng.randrange(1, 2000))
+        if large and rng.random() < large:
+            ns.append(rng.randrange(10_000, 60_000))  # bandwidth-bound rows
+        else:
+            ns.append(rng.randrange(1, 2000))
         roll = rng.random()
         if roll < 0.05:
             ps.append(0.0)  # boundary: probability mass collapses to zero
@@ -82,11 +89,16 @@ def _random_partition(rng: random.Random, size: int) -> list[slice]:
     return [slice(a, b) for a, b in zip(bounds, bounds[1:])]
 
 
-def test_pairs_kernel_is_invariant_under_batch_splits():
+# impl=None is the production fused kernel; "reference" is its oracle.
+IMPLS = pytest.mark.parametrize("impl", [None, "reference"], ids=["fused", "reference"])
+
+
+@IMPLS
+def test_pairs_kernel_is_invariant_under_batch_splits(impl):
     def trial(rng: random.Random) -> None:
         size = rng.randrange(8, 64)
         ns, ps, epss = _random_triples(rng, size)
-        window = _random_window(rng)
+        window = {**_random_window(rng), "impl": impl}
         fused = exact_coverage_failure_probability_pairs(ns, ps, epss, **window)
         pieces = [
             exact_coverage_failure_probability_pairs(
@@ -104,11 +116,12 @@ def test_pairs_kernel_is_invariant_under_batch_splits():
         _seeded(trial, seed)
 
 
-def test_pairs_kernel_is_invariant_under_permutation():
+@IMPLS
+def test_pairs_kernel_is_invariant_under_permutation(impl):
     def trial(rng: random.Random) -> None:
         size = rng.randrange(8, 64)
         ns, ps, epss = _random_triples(rng, size)
-        window = _random_window(rng)
+        window = {**_random_window(rng), "impl": impl}
         fused = exact_coverage_failure_probability_pairs(ns, ps, epss, **window)
         order = list(range(size))
         rng.shuffle(order)
@@ -141,6 +154,23 @@ def test_pairs_kernel_singletons_match_fused_batch():
                 f"element {i} (n={ns[i]}, p={ps[i]:.6f}, eps={epss[i]:.6f}): "
                 f"alone={alone[0]!r} fused={fused[i]!r}"
             )
+
+    for seed in TRIAL_SEEDS:
+        _seeded(trial, seed)
+
+
+def test_fused_float64_is_bit_identical_to_reference():
+    def trial(rng: random.Random) -> None:
+        size = rng.randrange(8, 64)
+        ns, ps, epss = _random_triples(rng, size, large=0.25)
+        fused = exact_coverage_failure_probability_pairs(ns, ps, epss)
+        reference = exact_coverage_failure_probability_pairs(
+            ns, ps, epss, impl="reference"
+        )
+        assert np.array_equal(fused, reference), (
+            f"fused diverged on {np.sum(fused != reference)} of {size} elements "
+            f"(max delta {np.max(np.abs(fused - reference)):.3e})"
+        )
 
     for seed in TRIAL_SEEDS:
         _seeded(trial, seed)
