@@ -8,11 +8,13 @@ the three things a shared deployment needs that a single service does
 not:
 
 * **Bounded residency.**  Live engines are held in an LRU of at most
-  ``max_resident`` tenants.  Eviction snapshots the service and compacts
-  its intake queue, then drops it; the next submission hydrates it back
-  from disk (``CIService.restore`` — the PR 4 contract makes this
-  element-wise identical to never having been evicted).  A thousand
-  registered tenants cost the memory of ``max_resident`` engines.
+  ``max_resident`` tenants.  Eviction compacts the tenant's intake queue
+  and drops the service, snapshotting it first only when no snapshot
+  cadence bounds its journal tail (see :meth:`CIFleet._try_evict`); the
+  next submission hydrates it back from disk (``CIService.restore`` —
+  the PR 4 contract makes this element-wise identical to never having
+  been evicted).  A thousand registered tenants cost the memory of
+  ``max_resident`` engines.
 * **Admission control and durable intake.**  A submission is either
   rejected *at the door* with a typed
   :class:`~repro.exceptions.AdmissionError` (fleet overload, tenant
@@ -267,7 +269,13 @@ class CIFleet:
     failure_threshold / cooldown_seconds:
         Per-tenant circuit-breaker configuration.
     snapshot_every:
-        Auto-snapshot cadence forwarded to every tenant service.
+        Auto-snapshot cadence forwarded to every tenant service.  It
+        also decides what eviction writes: with a cadence, the fsynced
+        journal tail of fewer than ``snapshot_every`` builds *is* the
+        evicted tenant's durable state, so evict = release (plus intake
+        compaction) and the next hydrate replays that tail; with
+        ``None`` (the default) evict = snapshot + release whenever the
+        tenant has builds no snapshot covers.
     keep_snapshots:
         Snapshot-retention depth forwarded to every tenant service
         (default 3): each tenant snapshot prunes older generations and
@@ -337,6 +345,9 @@ class CIFleet:
         self._clock = clock or time.monotonic
         self._resident: OrderedDict[str, CIService] = OrderedDict()
         self._intakes: dict[str, IntakeQueue] = {}
+        # Whether every on-disk tenant's intake is in ``_intakes`` (the
+        # door's pending total reads the cached queues once it is).
+        self._intakes_discovered = False
         self._breakers: dict[str, CircuitBreaker] = {}
         self.hydrations = 0
         self.evictions = 0
@@ -505,17 +516,48 @@ class CIFleet:
         self._enforce_capacity()
         return service
 
-    def _try_evict(self, tenant_id: str) -> bool:
-        """Snapshot + compact + drop one resident tenant; False on failure.
+    def _needs_snapshot(self, service: CIService) -> bool:
+        """Whether evicting ``service`` must snapshot it first.
 
-        The fault point fires *before* the snapshot, so an injected
-        eviction failure leaves the tenant resident and loses nothing —
-        eviction is maintenance, never allowed to become a failure mode.
+        Each build's fsynced ``commit-received`` record already makes it
+        durable; a snapshot only bounds what the next hydrate replays.
+        A cadence keeps that under ``snapshot_every`` builds unless one
+        of its snapshots failed (or a restore fell back past a damaged
+        generation); without a cadence, nothing else bounds it.
+        """
+        uncovered = service._builds_since_snapshot
+        if self.snapshot_every is None:
+            return uncovered > 0
+        return uncovered >= self.snapshot_every
+
+    def _release(self, tenant_id: str) -> None:
+        """Drop a resident tenant and close its descriptors now.
+
+        Closing here rather than whenever the garbage collector reaches
+        the dropped service keeps open descriptors bounded by
+        ``max_resident`` on every path out of residency.
+        """
+        service = self._resident.pop(tenant_id, None)
+        if service is not None and service._journal is not None:
+            service._journal.close()
+        self._intake(tenant_id).close()
+
+    def _try_evict(self, tenant_id: str) -> bool:
+        """Compact + drop one resident tenant; False on failure.
+
+        evict = snapshot + release only when no cadence bounds the
+        tenant's unsnapshotted journal tail (:meth:`_needs_snapshot`);
+        otherwise evict = release, and the next hydrate replays the
+        tail.  Either way the intake queue is compacted first.  The
+        fault point fires *before* any write, so an injected eviction
+        failure leaves the tenant resident and loses nothing — eviction
+        is maintenance, never allowed to become a failure mode.
         """
         service = self._resident[tenant_id]
         try:
             fault_point("fleet.evict")
-            service.snapshot()
+            if self._needs_snapshot(service):
+                service.snapshot()
             self._intake(tenant_id).compact()
         except Exception as exc:
             record_event(
@@ -525,12 +567,7 @@ class CIFleet:
                 error=str(exc),
             )
             return False
-        # Release the evicted tenant's descriptors now, not whenever the
-        # garbage collector reaches the dropped service (the compaction
-        # above already closed its intake handle).
-        if service._journal is not None:
-            service._journal.close()
-        del self._resident[tenant_id]
+        self._release(tenant_id)
         self.evictions += 1
         record_event("tenant-evicted", "fleet.gateway", tenant=tenant_id)
         return True
@@ -607,10 +644,18 @@ class CIFleet:
 
     # -- the front door ------------------------------------------------------
     def _total_pending(self) -> int:
-        return sum(
-            self._intake(tenant_id).pending_count
-            for tenant_id in self.tenants()
-        )
+        """Fleet-wide pending depth, from the cached intake queues.
+
+        The first call opens every on-disk tenant's queue (a reopened
+        root may hold pending entries); after that :meth:`register`
+        caches each new tenant's queue, so the door never touches the
+        filesystem to count.
+        """
+        if not self._intakes_discovered:
+            for tenant_id in self.tenants():
+                self._intake(tenant_id)
+            self._intakes_discovered = True
+        return sum(queue.pending_count for queue in self._intakes.values())
 
     def enqueue(
         self,
@@ -755,8 +800,7 @@ class CIFleet:
                 )
             except Exception as exc:
                 breaker.record_failure(exc)
-                self._resident.pop(tenant_id, None)
-                queue.close()
+                self._release(tenant_id)
                 record_event(
                     "tenant-process-failed",
                     "fleet.gateway",
@@ -955,7 +999,12 @@ class CIFleet:
 
     # -- lifecycle -----------------------------------------------------------
     def close(self) -> None:
-        """Evict every resident tenant (snapshot + compact) cleanly."""
+        """Evict every resident tenant cleanly.
+
+        Each eviction follows :meth:`_try_evict`: evict = snapshot +
+        release for a tenant whose journal tail no cadence bounds, evict
+        = release otherwise (the reopened fleet replays the tail).
+        """
         for tenant_id in list(self._resident):
             self._try_evict(tenant_id)
 

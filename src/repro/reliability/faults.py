@@ -55,7 +55,7 @@ site                      instrumented where
 ``fleet.hydrate``         :meth:`repro.fleet.CIFleet.service` — ``raise``
                           simulates a tenant whose cold resume fails
                           (counts against its circuit breaker)
-``fleet.evict``           the fleet's LRU eviction (snapshot + close) —
+``fleet.evict``           the fleet's LRU eviction (before any write) —
                           ``raise`` aborts the eviction; the tenant
                           stays resident, nothing is lost
 ``fleet.process``         traversed before each intake entry is applied

@@ -7,6 +7,8 @@ eviction churn — produces build records element-wise identical to N
 isolated ``CIService`` runs, in all three adaptivity modes.
 """
 
+import json
+import random
 import sys
 
 import pytest
@@ -16,6 +18,7 @@ from test_restart_parity import ADAPTIVITY_MODES, assert_parity  # noqa: E402
 
 from tests.fleet.conftest import reference_service, register_tenant  # noqa: E402
 
+from repro.ci.persistence import RESTORE, SNAPSHOT  # noqa: E402
 from repro.exceptions import (  # noqa: E402
     FleetOverloadedError,
     PersistenceError,
@@ -75,36 +78,73 @@ class TestRegistration:
             fleet.enqueue("ghost", object())
 
 
+def journal_records(fleet, tenant_id, type):
+    """Payloads of one tenant's journal records of ``type``, oldest first."""
+    path = fleet.tenant_dir(tenant_id) / "journal.jsonl"
+    records = (json.loads(line) for line in path.read_text().splitlines())
+    return [r["payload"] for r in records if r.get("type") == type]
+
+
+def snapshot_files(fleet, tenant_id):
+    return sorted(p.name for p in (fleet.tenant_dir(tenant_id) / "snapshots").iterdir())
+
+
+def assert_churn_parity(fleet, worlds):
+    """Round-robin every tenant's commits through ``fleet``, then compare.
+
+    max_resident=1 over 3 tenants means every interleaved submission
+    evicts someone and rehydrates someone else — the worst-case churn
+    schedule.
+    """
+    for tenant_id, world in worlds.items():
+        register_tenant(fleet, tenant_id, world)
+    rounds = max(len(w[3]) for w in worlds.values())
+    for index in range(rounds):
+        for tenant_id, world in worlds.items():
+            models = world[3]
+            if index < len(models):
+                build = fleet.submit(
+                    tenant_id, models[index], message=f"c{index}"
+                )
+                assert build.commit.sequence == index
+    assert fleet.evictions > 0
+    for tenant_id, world in worlds.items():
+        assert_parity(reference_service(tenant_id, world), fleet.service(tenant_id))
+
+
 class TestParityUnderChurn:
     @pytest.mark.parametrize("adaptivity", ADAPTIVITY_MODES)
     def test_interleaved_tenants_match_isolated_services(
         self, make_fleet, small_world, adaptivity
     ):
-        """The fleet parity gate at unit scale.
+        """The fleet parity gate at unit scale."""
+        worlds = {
+            f"t-{i}": small_world(adaptivity=adaptivity, commits=4, seed=i)
+            for i in range(3)
+        }
+        assert_churn_parity(make_fleet(max_resident=1), worlds)
 
-        max_resident=1 over 3 tenants means every interleaved submission
-        evicts someone and rehydrates someone else — the worst-case
-        churn schedule.
+    @pytest.mark.parametrize("adaptivity", ADAPTIVITY_MODES)
+    def test_interleaved_tenants_match_isolated_services_with_cadence(
+        self, make_fleet, small_world, adaptivity
+    ):
+        """The same gate when eviction releases and hydration replays.
+
+        With a cadence of 2, every other eviction leaves a one-build
+        journal tail that the next hydrate must replay exactly.
         """
         worlds = {
             f"t-{i}": small_world(adaptivity=adaptivity, commits=4, seed=i)
             for i in range(3)
         }
-        fleet = make_fleet(max_resident=1)
-        for tenant_id, world in worlds.items():
-            register_tenant(fleet, tenant_id, world)
-        rounds = max(len(w[3]) for w in worlds.values())
-        for index in range(rounds):
-            for tenant_id, world in worlds.items():
-                models = world[3]
-                if index < len(models):
-                    build = fleet.submit(
-                        tenant_id, models[index], message=f"c{index}"
-                    )
-                    assert build.commit.sequence == index
-        assert fleet.evictions > 0
-        for tenant_id, world in worlds.items():
-            assert_parity(reference_service(tenant_id, world), fleet.service(tenant_id))
+        fleet = make_fleet(max_resident=1, snapshot_every=2)
+        assert_churn_parity(fleet, worlds)
+        replayed = [
+            record["replayed_commits"]
+            for tenant_id in worlds
+            for record in journal_records(fleet, tenant_id, RESTORE)
+        ]
+        assert 1 in replayed
 
     def test_capacity_bound_is_enforced(self, make_fleet, small_world):
         fleet = make_fleet(max_resident=2)
@@ -115,6 +155,101 @@ class TestParityUnderChurn:
         assert "t-0" in fleet.resident_tenants
         assert len(fleet.resident_tenants) == 2
         assert fleet.hydrations == 1
+
+
+class TestEvictionRule:
+    """evict = snapshot + release only where no cadence bounds the tail."""
+
+    def test_cadence_eviction_adds_no_snapshot_and_hydrate_replays(
+        self, make_fleet, small_world
+    ):
+        world = small_world(commits=2)
+        fleet = make_fleet(max_resident=1, snapshot_every=3)
+        register_tenant(fleet, "t-0", world)
+        register_tenant(fleet, "t-1", small_world(commits=1, seed=1))
+        for index, model in enumerate(world[3]):
+            fleet.submit("t-0", model, message=f"c{index}")
+        snapshots = snapshot_files(fleet, "t-0")
+        snapshot_records = journal_records(fleet, "t-0", SNAPSHOT)
+
+        fleet.service("t-1")  # evicts t-0 with two unsnapshotted builds
+        assert fleet.resident_tenants == ["t-1"]
+        assert snapshot_files(fleet, "t-0") == snapshots
+        assert journal_records(fleet, "t-0", SNAPSHOT) == snapshot_records
+
+        hydrated = fleet.service("t-0")
+        assert journal_records(fleet, "t-0", RESTORE)[-1]["replayed_commits"] == 2
+        assert_parity(reference_service("t-0", world), hydrated)
+
+    def test_without_cadence_uncovered_builds_still_snapshot(
+        self, make_fleet, small_world
+    ):
+        world = small_world(commits=1)
+        fleet = make_fleet(max_resident=1)
+        register_tenant(fleet, "t-0", world)
+        register_tenant(fleet, "t-1", small_world(commits=1, seed=1))
+        fleet.submit("t-0", world[3][0], message="c0")
+        snapshots = snapshot_files(fleet, "t-0")
+
+        fleet.service("t-1")  # evicts t-0 with one unsnapshotted build
+        assert len(snapshot_files(fleet, "t-0")) == len(snapshots) + 1
+
+        hydrated = fleet.service("t-0")
+        assert journal_records(fleet, "t-0", RESTORE)[-1]["replayed_commits"] == 0
+        assert_parity(reference_service("t-0", world), hydrated)
+
+    def test_without_cadence_clean_tenant_evicts_without_writing(
+        self, make_fleet, small_world
+    ):
+        fleet = make_fleet(max_resident=1)
+        register_tenant(fleet, "t-0", small_world(commits=1))
+        register_tenant(fleet, "t-1", small_world(commits=1, seed=1))
+        directory = fleet.tenant_dir("t-1")
+        snapshots = snapshot_files(fleet, "t-1")
+        journal = (directory / "journal.jsonl").read_bytes()
+
+        fleet.service("t-0")  # evicts t-1, which has no builds at all
+        assert fleet.resident_tenants == ["t-0"]
+        assert snapshot_files(fleet, "t-1") == snapshots
+        assert (directory / "journal.jsonl").read_bytes() == journal
+
+    def test_replay_depth_stays_below_cadence_under_churn(
+        self, make_fleet, small_world
+    ):
+        cadence = 3
+        worlds = {
+            f"t-{i}": small_world(commits=10, seed=i, steps=8) for i in range(3)
+        }
+        # keep_snapshots=None: no compaction, so every restore record stays.
+        fleet = make_fleet(
+            max_resident=1, snapshot_every=cadence, keep_snapshots=None
+        )
+        for tenant_id, world in worlds.items():
+            register_tenant(fleet, tenant_id, world)
+        schedule = [
+            tenant_id for tenant_id, world in worlds.items() for _ in world[3]
+        ]
+        random.Random(7).shuffle(schedule)
+        submitted = dict.fromkeys(worlds, 0)
+        for tenant_id in schedule:
+            index = submitted[tenant_id]
+            fleet.submit(tenant_id, worlds[tenant_id][3][index], message=f"c{index}")
+            submitted[tenant_id] += 1
+        fleet.close()
+
+        reopened = make_fleet(
+            max_resident=1, snapshot_every=cadence, keep_snapshots=None
+        )
+        for tenant_id, world in worlds.items():
+            assert_parity(reference_service(tenant_id, world), reopened.service(tenant_id))
+        replayed = [
+            record["replayed_commits"]
+            for tenant_id in worlds
+            for record in journal_records(reopened, tenant_id, RESTORE)
+        ]
+        assert len(replayed) > len(worlds)
+        assert max(replayed) <= cadence - 1
+        assert max(replayed) > 0
 
 
 class TestDurableIntake:

@@ -10,6 +10,7 @@ back as pending on reopen).
 """
 
 import errno
+import gc
 import hashlib
 import json
 import os
@@ -275,6 +276,44 @@ def test_open_descriptors_bounded_by_residency(tmp_path, path):
             fleet.submit(tenant_id, model, message=model.name)
     # At most a journal and an intake handle per resident tenant.
     assert _open_fds() - before <= 2 * max_resident
+    fleet.close()
+
+
+@pytest.mark.skipif(not Path("/proc/self/fd").is_dir(), reason="needs /proc")
+def test_open_descriptors_bounded_across_processing_failures(tmp_path):
+    """A failed drain drops its resident service with its handles closed.
+
+    The cyclic garbage collector is off, so a dropped service's journal
+    handle would stay open until the end of the test: each failed drain
+    re-hydrates the tenant (opening its journal) and must close it again.
+    """
+    max_resident = 1
+    world = _fleet_world(0, commits=1)
+    fleet = CIFleet(
+        tmp_path / "fleet",
+        sync=False,
+        max_resident=max_resident,
+        failure_threshold=1000,
+    )
+    _register(fleet, "t-0", world)
+    model = world[3][0]
+    fleet.enqueue("t-0", model, message=model.name)
+    rule = FaultRule(site="fleet.process", action="raise", probability=1.0, times=None)
+    enabled = gc.isenabled()
+    gc.collect()
+    gc.disable()
+    try:
+        before = _open_fds()
+        with injected_faults([rule]):
+            for _ in range(8):
+                with pytest.raises(InjectedFault):
+                    fleet.drain("t-0")
+        assert _open_fds() - before <= 2 * max_resident
+    finally:
+        if enabled:
+            gc.enable()
+    # The deferred entry still completes once the fault clears.
+    assert [b.commit.sequence for b in fleet.drain("t-0").builds["t-0"]] == [0]
     fleet.close()
 
 

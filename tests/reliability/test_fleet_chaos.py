@@ -37,8 +37,9 @@ from test_restart_parity import (  # noqa: E402
 from repro.ci.repository import ModelRepository  # noqa: E402
 from repro.ci.service import CIService  # noqa: E402
 from repro.core.testset import TestsetPool  # noqa: E402
-from repro.exceptions import AdmissionError  # noqa: E402
+from repro.exceptions import AdmissionError, FleetOverloadedError  # noqa: E402
 from repro.fleet import AdmissionPolicy, CIFleet  # noqa: E402
+from repro.fleet.intake import scan_intake  # noqa: E402
 from repro.reliability.faults import (  # noqa: E402
     FaultRule,
     InjectedFault,
@@ -122,6 +123,57 @@ class TestOverloadGate:
                 fleet.service(tenant_id),
             )
 
+    def test_reopened_root_counts_pending_at_the_door(self, tmp_path):
+        """A killed fleet's pending intake still counts against the bound."""
+        worlds = build_worlds("full", 3, commits=4)
+        root = tmp_path / "fleet"
+        fleet = CIFleet(root, sync=True, max_resident=1)
+        register_all(fleet, worlds)
+        for tenant_id, backlog in (("t-00", 3), ("t-01", 1)):
+            for index in range(backlog):
+                fleet.enqueue(
+                    tenant_id, worlds[tenant_id][3][index], message=f"c{index}"
+                )
+        crashed_root = tmp_path / "crashed"
+        shutil.copytree(root, crashed_root)  # kill: no close()
+
+        on_disk = sum(
+            scan_intake(path).pending
+            for path in (crashed_root / "tenants").glob("*/intake.jsonl")
+        )
+        assert on_disk == 4
+        bound = 6
+        resumed = CIFleet(
+            crashed_root,
+            sync=False,
+            max_resident=1,
+            admission=AdmissionPolicy(
+                max_pending_per_tenant=10, max_pending_total=bound
+            ),
+        )
+        # The first submission goes to the tenant with nothing pending,
+        # so only the door's own discovery can see the others' backlog.
+        attempted = accepted = rejected = 0
+        for index in range(4):
+            attempted += 1
+            try:
+                resumed.enqueue("t-02", worlds["t-02"][3][index], message=f"c{index}")
+                accepted += 1
+            except FleetOverloadedError:
+                rejected += 1
+        assert accepted + rejected == attempted
+        assert accepted == bound - on_disk
+        # A tenant registered after the door's discovery is counted too.
+        late = build_worlds("full", 4, commits=1)
+        register_all(resumed, {"t-03": late["t-03"]})
+        resumed.drain("t-00")  # frees 3 slots
+        resumed.enqueue("t-03", late["t-03"][3][0], message="c0")
+        assert resumed.operations().pending_total == bound - 2
+        with pytest.raises(FleetOverloadedError):
+            for index in range(3):
+                resumed.enqueue("t-03", late["t-03"][3][0], message=f"x{index}")
+        assert resumed.operations().pending_total == bound
+
 
 class TestQuarantineGate:
     @pytest.mark.parametrize("adaptivity", ADAPTIVITY_MODES)
@@ -177,34 +229,53 @@ class TestQuarantineGate:
         assert_parity(reference(bad, worlds[bad]), fleet.service(bad))
 
 
+def assert_kill_after_intake_append_replays(tmp_path, adaptivity, **fleet_kwargs):
+    """Submit 2 + enqueue 2 per tenant, kill, resume: identical results."""
+    worlds = build_worlds(adaptivity, 2, commits=4)
+    root = tmp_path / "fleet"
+    fleet = CIFleet(root, sync=True, max_resident=1, **fleet_kwargs)
+    register_all(fleet, worlds)
+    for tenant_id, world in worlds.items():
+        for index in range(2):
+            fleet.submit(tenant_id, world[3][index], message=f"c{index}")
+        for index in range(2, 4):
+            fleet.enqueue(tenant_id, world[3][index], message=f"c{index}")
+    # Kill: no close(), no snapshots of the resident engines — the
+    # copied root is exactly what the dead process left on disk.
+    crashed_root = tmp_path / "crashed"
+    shutil.copytree(root, crashed_root)
+
+    resumed = CIFleet(crashed_root, sync=False, max_resident=1, **fleet_kwargs)
+    report = resumed.drain()
+    assert report.errors == {} and report.skipped == ()
+    for tenant_id, world in worlds.items():
+        assert [b.commit.sequence for b in report.builds[tenant_id]] == [2, 3]
+        assert_parity(
+            reference(tenant_id, world), resumed.service(tenant_id)
+        )
+
+
 class TestCrashGate:
     @pytest.mark.parametrize("adaptivity", ADAPTIVITY_MODES)
     def test_kill_after_intake_append_replays_identically(
         self, tmp_path, adaptivity
     ):
         """The fleet crash gate: accepted-but-unprocessed work survives."""
-        worlds = build_worlds(adaptivity, 2, commits=4)
-        root = tmp_path / "fleet"
-        fleet = CIFleet(root, sync=True, max_resident=1)
-        register_all(fleet, worlds)
-        for tenant_id, world in worlds.items():
-            for index in range(2):
-                fleet.submit(tenant_id, world[3][index], message=f"c{index}")
-            for index in range(2, 4):
-                fleet.enqueue(tenant_id, world[3][index], message=f"c{index}")
-        # Kill: no close(), no snapshots of the resident engines — the
-        # copied root is exactly what the dead process left on disk.
-        crashed_root = tmp_path / "crashed"
-        shutil.copytree(root, crashed_root)
+        assert_kill_after_intake_append_replays(tmp_path, adaptivity)
 
-        resumed = CIFleet(crashed_root, sync=False, max_resident=1)
-        report = resumed.drain()
-        assert report.errors == {} and report.skipped == ()
-        for tenant_id, world in worlds.items():
-            assert [b.commit.sequence for b in report.builds[tenant_id]] == [2, 3]
-            assert_parity(
-                reference(tenant_id, world), resumed.service(tenant_id)
-            )
+    @pytest.mark.parametrize("snapshot_every", [2, 3])
+    @pytest.mark.parametrize("adaptivity", ADAPTIVITY_MODES)
+    def test_kill_after_intake_append_replays_identically_with_cadence(
+        self, tmp_path, adaptivity, snapshot_every
+    ):
+        """The crash gate when evictions release without snapshotting.
+
+        At a cadence of 3 each tenant dies holding a two-build journal
+        tail that no snapshot covers; the resumed fleet replays it.
+        """
+        assert_kill_after_intake_append_replays(
+            tmp_path, adaptivity, snapshot_every=snapshot_every
+        )
 
     def test_torn_intake_append_heals_on_resume(self, tmp_path):
         """Crash mid-append: the torn submission was never accepted."""
