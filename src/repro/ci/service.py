@@ -347,6 +347,10 @@ class CIService:
         self._journal: EventJournal | None = None
         self._snapshot_every: int | None = None
         self._builds_since_snapshot = 0
+        # What the last snapshot holds of the state no journal record
+        # carries (see needs_snapshot()).
+        self._snapshotted_dead_letters: list[Any] = []
+        self._installed_since_snapshot = False
         self._replaying = False
         # Storage governance (attach_persistence wires these up).
         self._keep_snapshots: int | None = None
@@ -696,7 +700,7 @@ class CIService:
         self._store = getattr(store, "snapshots", None)
         self._journal = getattr(store, "journal", None)
         self._snapshot_every = snapshot_every
-        self._builds_since_snapshot = 0
+        self._mark_snapshotted()
         self._keep_snapshots = keep_snapshots
         self._storage = storage
         self._state_dir = (
@@ -759,13 +763,37 @@ class CIService:
                 "no snapshot store attached; call persist_to()/attach_persistence()"
             )
         info = self._state_store.save_snapshot(self.export_state())
-        self._builds_since_snapshot = 0
+        self._mark_snapshotted()
         self._journal_event(
             SNAPSHOT,
             {"snapshot_sequence": info.sequence, "path": info.path},
         )
         self._run_retention()
         return info
+
+    def _mark_snapshotted(self) -> None:
+        self._builds_since_snapshot = 0
+        self._snapshotted_dead_letters = self.repository.dead_letters
+        self._installed_since_snapshot = False
+
+    def needs_snapshot(self) -> bool:
+        """Whether only a new snapshot would keep or bound this state.
+
+        A build is durable once its ``commit-received`` record is
+        journaled, and a restore replays it; a snapshot then only bounds
+        that replay, which a ``snapshot_every`` cadence already keeps
+        under ``snapshot_every`` builds (without a cadence nothing does,
+        so any uncovered build counts).  An installed testset or pool
+        and any change to the repository's dead-letter log are in no
+        journal record: until a snapshot holds them, a restore loses
+        them.
+        """
+        if (
+            self._installed_since_snapshot
+            or self.repository.dead_letters != self._snapshotted_dead_letters
+        ):
+            return True
+        return self._builds_since_snapshot >= (self._snapshot_every or 1)
 
     def _run_retention(self) -> None:
         """Prune snapshots and compact the journal per ``keep_snapshots``.
@@ -1036,6 +1064,7 @@ class CIService:
     def install_testset(self, testset: Testset, baseline_model: Any | None = None) -> None:
         """Install a fresh testset after an alarm (delegates to the engine)."""
         self.engine.install_testset(testset, baseline_model)
+        self._installed_since_snapshot = True
 
     def install_testset_pool(self, pool: TestsetPool) -> None:
         """Attach a pool of pre-labeled testset generations to the engine.
@@ -1046,6 +1075,7 @@ class CIService:
         :attr:`BuildRecord.generation` for the serving audit trail.
         """
         self.engine.install_testset_pool(pool)
+        self._installed_since_snapshot = True
 
     def summary(self) -> str:
         """A per-build summary table for logs and examples."""

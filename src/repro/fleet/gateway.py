@@ -275,7 +275,10 @@ class CIFleet:
         evicted tenant's durable state, so evict = release (plus intake
         compaction) and the next hydrate replays that tail; with
         ``None`` (the default) evict = snapshot + release whenever the
-        tenant has builds no snapshot covers.
+        tenant has builds no snapshot covers.  Either way a tenant
+        holding state no journal record carries (a dead-letter change,
+        an installed testset) is snapshotted first — see
+        :meth:`CIService.needs_snapshot`.
     keep_snapshots:
         Snapshot-retention depth forwarded to every tenant service
         (default 3): each tenant snapshot prunes older generations and
@@ -516,20 +519,6 @@ class CIFleet:
         self._enforce_capacity()
         return service
 
-    def _needs_snapshot(self, service: CIService) -> bool:
-        """Whether evicting ``service`` must snapshot it first.
-
-        Each build's fsynced ``commit-received`` record already makes it
-        durable; a snapshot only bounds what the next hydrate replays.
-        A cadence keeps that under ``snapshot_every`` builds unless one
-        of its snapshots failed (or a restore fell back past a damaged
-        generation); without a cadence, nothing else bounds it.
-        """
-        uncovered = service._builds_since_snapshot
-        if self.snapshot_every is None:
-            return uncovered > 0
-        return uncovered >= self.snapshot_every
-
     def _release(self, tenant_id: str) -> None:
         """Drop a resident tenant and close its descriptors now.
 
@@ -545,18 +534,19 @@ class CIFleet:
     def _try_evict(self, tenant_id: str) -> bool:
         """Compact + drop one resident tenant; False on failure.
 
-        evict = snapshot + release only when no cadence bounds the
-        tenant's unsnapshotted journal tail (:meth:`_needs_snapshot`);
-        otherwise evict = release, and the next hydrate replays the
-        tail.  Either way the intake queue is compacted first.  The
-        fault point fires *before* any write, so an injected eviction
-        failure leaves the tenant resident and loses nothing — eviction
-        is maintenance, never allowed to become a failure mode.
+        evict = snapshot + release only when the service holds state
+        the journal does not, or a journal tail no cadence bounds
+        (:meth:`CIService.needs_snapshot`); otherwise evict = release,
+        and the next hydrate replays the tail.  Either way the intake
+        queue is compacted first.  The fault point fires *before* any
+        write, so an injected eviction failure leaves the tenant
+        resident and loses nothing — eviction is maintenance, never
+        allowed to become a failure mode.
         """
         service = self._resident[tenant_id]
         try:
             fault_point("fleet.evict")
-            if self._needs_snapshot(service):
+            if service.needs_snapshot():
                 service.snapshot()
             self._intake(tenant_id).compact()
         except Exception as exc:
@@ -1002,8 +992,9 @@ class CIFleet:
         """Evict every resident tenant cleanly.
 
         Each eviction follows :meth:`_try_evict`: evict = snapshot +
-        release for a tenant whose journal tail no cadence bounds, evict
-        = release otherwise (the reopened fleet replays the tail).
+        release for a tenant that needs one
+        (:meth:`CIService.needs_snapshot`), evict = release otherwise
+        (the reopened fleet replays the tail).
         """
         for tenant_id in list(self._resident):
             self._try_evict(tenant_id)

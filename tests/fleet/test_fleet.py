@@ -18,7 +18,9 @@ from test_restart_parity import ADAPTIVITY_MODES, assert_parity  # noqa: E402
 
 from tests.fleet.conftest import reference_service, register_tenant  # noqa: E402
 
+from repro.ci.notifications import FlakyTransport, RetryingTransport  # noqa: E402
 from repro.ci.persistence import RESTORE, SNAPSHOT  # noqa: E402
+from repro.core.testset import TestsetPool  # noqa: E402
 from repro.exceptions import (  # noqa: E402
     FleetOverloadedError,
     PersistenceError,
@@ -87,6 +89,13 @@ def journal_records(fleet, tenant_id, type):
 
 def snapshot_files(fleet, tenant_id):
     return sorted(p.name for p in (fleet.tenant_dir(tenant_id) / "snapshots").iterdir())
+
+
+def dead_letter_transport(tenant_id):
+    """A transport that never delivers, so every notification dead-letters."""
+    return RetryingTransport(
+        FlakyTransport(failures=10**6), backoff=0.0, sleep=lambda _: None
+    )
 
 
 def assert_churn_parity(fleet, worlds):
@@ -212,6 +221,71 @@ class TestEvictionRule:
         assert fleet.resident_tenants == ["t-0"]
         assert snapshot_files(fleet, "t-1") == snapshots
         assert (directory / "journal.jsonl").read_bytes() == journal
+
+    def test_cadence_eviction_keeps_dead_letters_of_the_tail(
+        self, make_fleet, small_world
+    ):
+        """A dead letter is in no journal record, so eviction snapshots it."""
+        world = small_world(adaptivity="none -> third-party@example.com", commits=1)
+        fleet = make_fleet(
+            max_resident=1,
+            snapshot_every=3,
+            transport_factory=dead_letter_transport,
+        )
+        register_tenant(fleet, "t-0", world)
+        register_tenant(fleet, "t-1", small_world(commits=1, seed=1))
+        fleet.submit("t-0", world[3][0], message="c0")
+        letters = fleet.service("t-0").repository.dead_letters
+        assert len(letters) == 1
+        snapshots = snapshot_files(fleet, "t-0")
+
+        fleet.service("t-1")  # evicts t-0: one build and its dead letter
+        assert len(snapshot_files(fleet, "t-0")) == len(snapshots) + 1
+        assert fleet.service("t-0").repository.dead_letters == letters
+
+    def test_without_cadence_operator_changes_survive_eviction(
+        self, make_fleet, small_world
+    ):
+        """A drain and a pool install on a clean tenant are snapshotted."""
+        world = small_world(adaptivity="none -> third-party@example.com", commits=1)
+        fleet = make_fleet(max_resident=1, transport_factory=dead_letter_transport)
+        register_tenant(fleet, "t-0", world)
+        register_tenant(fleet, "t-1", small_world(commits=1, seed=1))
+        fleet.submit("t-0", world[3][0], message="c0")
+        fleet.service("t-1")  # evicts t-0 with an uncovered build
+
+        service = fleet.service("t-0")
+        assert not service.needs_snapshot()
+        assert len(service.repository.drain_dead_letters()) == 1
+        service.install_testset_pool(TestsetPool(world[1][2:]))
+        assert service.needs_snapshot()
+        fleet.service("t-1")  # evicts t-0, which has no uncovered build
+
+        hydrated = fleet.service("t-0")
+        assert hydrated.repository.dead_letters == []
+        assert hydrated.engine.pool.pending == len(world[1][2:])
+
+    def test_tail_beyond_a_lowered_cadence_snapshots_on_eviction(
+        self, make_fleet, small_world
+    ):
+        world = small_world(commits=3)
+        fleet = make_fleet(max_resident=1, snapshot_every=5)
+        register_tenant(fleet, "t-0", world)
+        register_tenant(fleet, "t-1", small_world(commits=1, seed=1))
+        for index, model in enumerate(world[3]):
+            fleet.submit("t-0", model, message=f"c{index}")
+        fleet.close()  # releases t-0 with three unsnapshotted builds
+
+        reopened = make_fleet(max_resident=1, snapshot_every=2)
+        reopened.service("t-0")
+        assert journal_records(reopened, "t-0", RESTORE)[-1]["replayed_commits"] == 3
+        snapshots = snapshot_files(reopened, "t-0")
+        reopened.service("t-1")  # evicts t-0 holding a tail of 3 >= 2
+        assert len(snapshot_files(reopened, "t-0")) == len(snapshots) + 1
+
+        hydrated = reopened.service("t-0")
+        assert journal_records(reopened, "t-0", RESTORE)[-1]["replayed_commits"] == 0
+        assert_parity(reference_service("t-0", world), hydrated)
 
     def test_replay_depth_stays_below_cadence_under_churn(
         self, make_fleet, small_world
