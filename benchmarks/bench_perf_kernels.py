@@ -4,7 +4,9 @@ Times the layers the vectorized-kernel and parallel-planning PRs
 optimize —
 
 1. ``worst_case_failure_probability`` (one full worst-case-``p`` scan),
-2. ``tight_sample_size`` (the §4.3 search, the planning hot path),
+2. ``tight_sample_size`` (the §4.3 search, the planning hot path), and
+   beside it ``certify_sample_size`` — the two probes a warm restore
+   runs instead of the search when a snapshot names the answer,
 3. ``SampleSizeEstimator.plan`` cold (cache cleared) vs. warm (served from
    the process-wide plan cache),
 4. the **epsilon sweep**: cold ``tight_epsilon_many`` over a 32-size
@@ -68,6 +70,7 @@ from repro.stats.batch import (
 from repro.stats.cache import all_cache_info, clear_all_caches
 from repro.stats.parallel import PlanningExecutor
 from repro.stats.tight_bounds import (
+    certify_sample_size,
     exceeds_delta_many,
     tight_epsilon_many,
     tight_sample_size,
@@ -82,6 +85,13 @@ TIGHT_CASES = [
     {"epsilon": 0.05, "delta": 1e-3},
     {"epsilon": 0.02, "delta": 1e-3},  # acceptance criterion case
     {"epsilon": 0.03, "delta": 1e-4},
+]
+# The points of the restore-path comparison: search vs. certifying a
+# known answer (the ROADMAP's cold-restore table).
+CERTIFY_CASES = [
+    {"epsilon": 0.05, "delta": 1e-3},
+    {"epsilon": 0.02, "delta": 1e-3},
+    {"epsilon": 0.01, "delta": 1e-4},
 ]
 WORST_CASES = [
     {"n": 1090, "epsilon": 0.05},
@@ -163,6 +173,37 @@ def bench_tight_sample_size(cases=TIGHT_CASES) -> list[dict]:
                 "scalar_n": n_scalar,
                 "batch_n": n_batch,
                 "results_equal": n_scalar == n_batch == n_warm,
+            }
+        )
+    return rows
+
+
+def bench_certify_vs_search(cases=CERTIFY_CASES) -> list[dict]:
+    """Cold search vs. cold certification of its answer, best of 3 each."""
+
+    def best_of_3(fn) -> tuple[float, object]:
+        times, result = [], None
+        for _ in range(3):
+            clear_all_caches()
+            t0 = time.perf_counter()
+            result = fn()
+            times.append(time.perf_counter() - t0)
+        return min(times), result
+
+    rows = []
+    for case in cases:
+        eps, delta = case["epsilon"], case["delta"]
+        t_search, n = best_of_3(lambda: tight_sample_size(eps, delta))
+        t_certify, certified = best_of_3(lambda: certify_sample_size(eps, delta, n))
+        rows.append(
+            {
+                **case,
+                "n": n,
+                "search_seconds": t_search,
+                "certify_seconds": t_certify,
+                "speedup": t_search / t_certify,
+                # The memo now answers the search with the certified n.
+                "certified": certified and tight_sample_size(eps, delta) == n,
             }
         )
     return rows
@@ -359,10 +400,12 @@ def main(quick: bool = False, workers: int = DEFAULT_WORKERS) -> dict:
     # noisy, but the artifact must be produced and schema-valid.
     worst_cases = WORST_CASES[:1] if quick else WORST_CASES
     tight_cases = TIGHT_CASES[:1] if quick else TIGHT_CASES
+    certify_cases = CERTIFY_CASES[:1] if quick else CERTIFY_CASES
     results = {
         "quick": quick,
         "worst_case_failure_probability": bench_worst_case(worst_cases),
         "tight_sample_size": bench_tight_sample_size(tight_cases),
+        "certify_vs_search": bench_certify_vs_search(certify_cases),
         "sample_size_estimator_plan": bench_plan_cache(),
         "tight_epsilon_sweep": bench_epsilon_sweep(quick, workers),
         "pairs_bandwidth": bench_pairs_bandwidth(quick),
@@ -379,6 +422,9 @@ def main(quick: bool = False, workers: int = DEFAULT_WORKERS) -> dict:
         if quick or (row["epsilon"] == 0.02 and row["delta"] == 1e-3)
     )
     assert headline["results_equal"], "batch and scalar tight_sample_size diverged"
+    assert all(row["certified"] for row in results["certify_vs_search"]), (
+        "a search's own answer failed certify_sample_size"
+    )
     plan_row = results["sample_size_estimator_plan"]
     assert plan_row["plans_identical"], "cached plan differs from cold plan"
     sweep = results["tight_epsilon_sweep"]
@@ -419,6 +465,12 @@ def main(quick: bool = False, workers: int = DEFAULT_WORKERS) -> dict:
         f"({headline['speedup_cold']:.0f}x), "
         f"warm {headline['batch_warm_seconds'] * 1e6:.0f}us"
     )
+    for row in results["certify_vs_search"]:
+        print(
+            f"certify vs search ({row['epsilon']}, {row['delta']}), n={row['n']}: "
+            f"search {row['search_seconds'] * 1e3:.1f}ms, "
+            f"certify {row['certify_seconds'] * 1e3:.1f}ms ({row['speedup']:.1f}x)"
+        )
     print(
         f"plan cold {plan_row['cold_seconds'] * 1e3:.2f}ms, "
         f"warm {plan_row['warm_seconds'] * 1e6:.0f}us"

@@ -40,6 +40,14 @@ SCHEMAS = {
         "tight_sample_size.[].batch_cold_seconds": NUMBER,
         "tight_sample_size.[].speedup_cold": NUMBER,
         "tight_sample_size.[].results_equal": bool,
+        "certify_vs_search": list,
+        "certify_vs_search.[].epsilon": NUMBER,
+        "certify_vs_search.[].delta": NUMBER,
+        "certify_vs_search.[].n": int,
+        "certify_vs_search.[].search_seconds": NUMBER,
+        "certify_vs_search.[].certify_seconds": NUMBER,
+        "certify_vs_search.[].speedup": NUMBER,
+        "certify_vs_search.[].certified": bool,
         "sample_size_estimator_plan.cold_seconds": NUMBER,
         "sample_size_estimator_plan.warm_seconds": NUMBER,
         "sample_size_estimator_plan.plans_identical": bool,

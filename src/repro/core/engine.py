@@ -75,7 +75,7 @@ import numpy as np
 
 from repro.core.alarm import AlarmEvent, AlarmReason, NewTestsetAlarm
 from repro.core.estimators.adaptivity import Adaptivity
-from repro.core.estimators.api import SampleSizeEstimator
+from repro.core.estimators.api import SampleSizeEstimator, tight_size_witnesses
 from repro.core.estimators.plans import SampleSizePlan
 from repro.core.evaluation import EvaluationResult
 from repro.core.kernel import KernelBackend, get_backend
@@ -545,9 +545,17 @@ class CIEngine:
 
         Consumed by :func:`repro.stats.cache.warm_after_restore` (the
         estimator layer's restore warmer re-derives each request into the
-        process-wide plan cache before the engine re-plans).
+        process-wide plan cache before the engine re-plans).  Each
+        request also carries ``tight_sizes``: the exact-binomial answers
+        of the plan this engine holds, as witnesses the warmer re-proves
+        instead of searching again.
         """
-        return {"plans": self._planner.plan_requests(self.script)}
+        return {
+            "plans": [
+                dict(request, tight_sizes=tight_size_witnesses(self.plan))
+                for request in self._planner.plan_requests(self.script)
+            ]
+        }
 
     @classmethod
     def from_state(

@@ -50,10 +50,10 @@ from repro.stats.cache import (
 )
 from repro.stats.inequalities import BennettInequality
 from repro.stats.parallel import get_executor, resolve_workers
-from repro.stats.tight_bounds import tight_sample_size
+from repro.stats.tight_bounds import certify_sample_size, tight_sample_size
 from repro.utils.validation import check_positive_int, check_probability
 
-__all__ = ["SampleSizeEstimator"]
+__all__ = ["SampleSizeEstimator", "tight_size_witnesses"]
 
 # Process-wide plan cache shared by every estimator instance: plans are
 # frozen dataclasses, so handing the same object to every caller is safe.
@@ -541,6 +541,22 @@ class SampleSizeEstimator:
 # Restore warmer: re-derive snapshot-manifested plans into the shared cache
 # ---------------------------------------------------------------------------
 
+def tight_size_witnesses(plan: SampleSizePlan) -> list[list[Any]]:
+    """``[epsilon, delta, n]`` for each exact-binomial clause of ``plan``.
+
+    The arguments :meth:`SampleSizeEstimator._plan_clause` passed to
+    :func:`~repro.stats.tight_bounds.tight_sample_size` and the answer it
+    got, read off the plan itself (no cache lookup).  Engine snapshots
+    carry them in each warm-manifest request as ``tight_sizes``; the
+    restore warmer re-proves each one before seeding the search memo.
+    """
+    return [
+        [p.clause.tolerance, min(p.delta, 0.5), int(p.samples)]
+        for p in plan.clause_plans
+        if p.strategy is ClauseStrategy.EXACT_BINOMIAL
+    ]
+
+
 def _warm_plan_cache(manifest: Mapping[str, Any]) -> None:
     """Re-derive every plan request named in a snapshot's warm manifest.
 
@@ -553,8 +569,16 @@ def _warm_plan_cache(manifest: Mapping[str, Any]) -> None:
     derivation is forced serial whatever ``workers`` the snapshotted
     estimator carried — a crash-recovery path should never block on
     spawning a worker pool, and worker count does not affect the plan.
+
+    A request's ``tight_sizes`` (see :func:`tight_size_witnesses`) are
+    certified first: each witness that passes the two probes of
+    :func:`~repro.stats.tight_bounds.certify_sample_size` spares the
+    derivation its search; one that fails, or is absent (states written
+    before witnesses existed), leaves that search to run as before.
     """
     for request in manifest.get("plans", ()):
+        for witness in request.get("tight_sizes", ()):
+            certify_sample_size(*witness)
         config = dict(request.get("estimator") or {})
         config["workers"] = "serial"
         estimator = SampleSizeEstimator.from_config(config)

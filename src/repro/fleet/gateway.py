@@ -639,11 +639,14 @@ class CIFleet:
         The first call opens every on-disk tenant's queue (a reopened
         root may hold pending entries); after that :meth:`register`
         caches each new tenant's queue, so the door never touches the
-        filesystem to count.
+        filesystem to count.  A tenant dir without an intake file (a
+        crash inside :meth:`register` before the queue was created)
+        counts as 0: it cannot hold an accepted submission.
         """
         if not self._intakes_discovered:
             for tenant_id in self.tenants():
-                self._intake(tenant_id)
+                if (self.tenant_dir(tenant_id) / "intake.jsonl").exists():
+                    self._intake(tenant_id)
             self._intakes_discovered = True
         return sum(queue.pending_count for queue in self._intakes.values())
 

@@ -35,7 +35,9 @@ estimator layer registers one that re-derives each requested plan, which
 transitively repopulates the tight-bound and layout caches underneath.
 A restored engine therefore re-plans through a warm cache and ends up
 holding a plan bit-identical to the one it was snapshotted with, even in
-a cold interpreter.
+a cold interpreter.  Tight sample sizes the manifest names are adopted
+only after :func:`repro.stats.tight_bounds.certify_sample_size`
+re-proves them, which replaces each search with two probes.
 
 Cache-manifest contract
 -----------------------

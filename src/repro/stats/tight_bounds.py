@@ -86,6 +86,7 @@ __all__ = [
     "exact_coverage_failure_probability",
     "worst_case_failure_probability",
     "tight_sample_size",
+    "certify_sample_size",
     "tight_epsilon",
     "exceeds_delta_many",
     "tight_epsilon_many",
@@ -258,6 +259,11 @@ def _tight_sample_size_cached(
     return n
 
 
+def _hoeffding_size(epsilon: float, delta: float) -> int:
+    """The two-sided Hoeffding size: the search's default upper anchor."""
+    return int(math.ceil(math.log(2.0 / delta) / (2.0 * epsilon * epsilon)))
+
+
 def tight_sample_size(
     epsilon: float,
     delta: float,
@@ -293,7 +299,7 @@ def tight_sample_size(
     _check_backend(backend)
     if epsilon >= 1.0:
         return 1
-    hoeffding_n = int(math.ceil(math.log(2.0 / delta) / (2.0 * epsilon * epsilon)))
+    hoeffding_n = _hoeffding_size(epsilon, delta)
     hint = max(1, n_hint or hoeffding_n)
     if n_hint is None or n_hint == hoeffding_n:
         # The common, hint-free call: one shared cache entry.
@@ -306,6 +312,51 @@ def tight_sample_size(
     return _tight_sample_size_cached.__wrapped__(
         epsilon, delta, grid, refine, backend, hint
     )
+
+
+def certify_sample_size(epsilon: float, delta: float, n: int) -> bool:
+    """Re-prove a claimed :func:`tight_sample_size` answer and memoize it.
+
+    ``n`` is a *witness* — a tight size some earlier process computed
+    for the hint-free ``tight_sample_size(epsilon, delta)`` call (a
+    restored snapshot carries these).  Two production-kernel probes
+    check it: ``n`` does not exceed ``delta`` (the (ε, δ) property) and
+    ``n - 1`` does (local minimality; ``n == 1`` needs no second probe).
+    Only then is ``n`` written into the search memo, so the next
+    ``tight_sample_size(epsilon, delta)`` call is a cache hit instead of
+    a search.  The search's own answer always passes: bisection ends
+    with ``lo - 1`` probed exceeding (or ``lo == 1``), the walk-forward
+    loop keeps that property, and the answer never exceeds the Hoeffding
+    size the search starts from (larger witnesses are refused unprobed).
+
+    Returns whether the memo now holds an answer for the key: ``True``
+    when it already did (nothing is probed) or the witness certified,
+    ``False`` when the witness is malformed or fails a probe — the
+    caller then falls through to the full search.
+    """
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        return False
+    try:
+        epsilon = check_positive(epsilon, "epsilon")
+        delta = check_probability(delta, "delta")
+    except InvalidParameterError:
+        return False
+    if epsilon >= 1.0:
+        return False
+    grid, refine, backend = 256, 2, "batch"
+    hint = max(1, _hoeffding_size(epsilon, delta))
+    key = (epsilon, delta, grid, refine, backend, hint)
+    cache = _tight_sample_size_cached.cache
+    if key in cache:
+        return True
+    if n > hint:
+        return False
+    if _exceeds_delta_batch(n, epsilon, delta, grid, refine):
+        return False
+    if n > 1 and not _exceeds_delta_batch(n - 1, epsilon, delta, grid, refine):
+        return False
+    cache.put(key, n)
+    return True
 
 
 # Per-(delta, tol, grid, refine) anchors: the most recent tight-epsilon

@@ -578,6 +578,114 @@ class TestColdProcessRestore:
             CIService.from_state(legacy_state(kernel="jit"))
 
 
+class TestCertifiedWarmRestore:
+    """Snapshots carry their tight sizes; resume re-proves, never re-searches.
+
+    Each warm-manifest request names the exact-binomial answers of the
+    plan it was written with (``tight_sizes``).  A resume in a cold
+    interpreter certifies each with two ``exceeds_delta`` probes (``n``
+    within delta, ``n - 1`` beyond it) instead of bisecting again.  The
+    counts are cache statistics, so the guard needs no timing.
+    """
+
+    CONDITION = "n > 0.7 +/- 0.05 /\\ d < 0.3 +/- 0.08"
+
+    @pytest.fixture(scope="class")
+    def exact_world(self):
+        script = CIScript.from_dict(
+            {
+                "script": "./test_model.py",
+                "condition": self.CONDITION,
+                "reliability": 0.999,
+                "mode": "fp-free",
+                "adaptivity": "full",
+                "steps": 4,
+            }
+        )
+        testset, baseline, models = make_world(script)
+        return script, testset, baseline, models
+
+    @staticmethod
+    def make_exact_service(script, testset, baseline):
+        return CIService(
+            script,
+            testset,
+            baseline,
+            repository=ModelRepository(nonce="fixed-nonce"),
+            estimator=SampleSizeEstimator(use_exact_binomial=True),
+        )
+
+    @staticmethod
+    def probe_counts():
+        from repro.stats.cache import all_cache_info
+
+        info = all_cache_info()
+        probes = info["stats.tight_bounds.exceeds_delta"]
+        searches = info["stats.tight_bounds.tight_sample_size"]
+        return probes.hits, probes.misses, searches.misses
+
+    def run_pair(self, exact_world, tmp_path):
+        """A persisted service three commits in, and its unrestored twin."""
+        script, testset, baseline, models = exact_world
+        reference = self.make_exact_service(script, testset, baseline)
+        service = self.make_exact_service(script, testset, baseline)
+        service.persist_to(tmp_path / "state", snapshot_every=2)
+        for model in models[:3]:
+            reference.repository.commit(model, message=model.name)
+            service.repository.commit(model, message=model.name)
+        return reference, service
+
+    def assert_resumes_identically(self, restored, reference, models):
+        for model in models[3:]:
+            restored.repository.commit(model, message=model.name)
+            reference.repository.commit(model, message=model.name)
+        assert [b.result for b in restored.builds] == [
+            b.result for b in reference.builds
+        ]
+
+    def test_resume_certifies_each_tight_size_with_two_probes(
+        self, exact_world, tmp_path
+    ):
+        from repro.stats.cache import clear_all_caches
+
+        reference, service = self.run_pair(exact_world, tmp_path)
+        (request,) = service.engine.warm_manifest()["plans"]
+        sizes = {tuple(witness) for witness in request["tight_sizes"]}
+        assert len(sizes) == 2 and all(n > 1 for _, _, n in sizes)
+
+        clear_all_caches()
+        restored = CIService.resume(tmp_path / "state")
+        assert self.probe_counts() == (0, 2 * len(sizes), 0)
+        assert restored.plan == service.plan
+        self.assert_resumes_identically(restored, reference, exact_world[3])
+
+    @pytest.mark.parametrize("edit", ["tampered", "stripped"])
+    def test_unusable_witnesses_fall_back_to_the_search(
+        self, exact_world, tmp_path, edit
+    ):
+        # "stripped" is a state written before witnesses existed: no key.
+        from repro.stats.cache import clear_all_caches
+
+        reference, service = self.run_pair(exact_world, tmp_path)
+        state = pickle.loads(pickle.dumps(service.export_state()))
+        for request in state["engine"]["warm_manifest"]["plans"]:
+            if edit == "stripped":
+                del request["tight_sizes"]
+            else:
+                request["tight_sizes"] = [
+                    [epsilon, delta, n + 1]
+                    for epsilon, delta, n in request["tight_sizes"]
+                ]
+
+        clear_all_caches()
+        restored = CIService.from_state(state)
+        _, probes, searches = self.probe_counts()
+        assert searches == 2
+        assert probes > 2 * 2
+        assert restored.plan == service.plan
+        self.assert_resumes_identically(restored, reference, exact_world[3])
+
+
 class TestOperationsReport:
     def test_fields_without_persistence(self, world):
         script, testset, baseline, models = world

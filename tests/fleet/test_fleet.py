@@ -362,6 +362,26 @@ class TestDurableIntake:
         assert build.commit.sequence == 1
         assert len(fleet.service("t-0").builds) == 2
 
+    def test_tenant_without_intake_fails_only_its_own_enqueue(
+        self, make_fleet, small_world
+    ):
+        # A crash inside register() between persist_to() and
+        # IntakeQueue.create() leaves a tenant dir with no intake file.
+        world = small_world(commits=2)
+        fleet = make_fleet()
+        register_tenant(fleet, "t-0", world)
+        register_tenant(fleet, "t-1", world)
+        fleet.close()
+        (fleet.tenant_dir("t-1") / "intake.jsonl").unlink()
+
+        reopened = make_fleet()
+        reopened.enqueue("t-0", world[3][0], message="c0")
+        assert reopened.drain("t-0").builds["t-0"][0].commit.sequence == 0
+        with pytest.raises(PersistenceError, match="t-1/intake.jsonl does not exist"):
+            reopened.enqueue("t-1", world[3][0], message="c0")
+        reopened.enqueue("t-0", world[3][1], message="c1")
+        assert len(reopened.drain("t-0").builds["t-0"]) == 1
+
 
 class TestAdmission:
     def test_tenant_quota_rejects_at_the_door(self, make_fleet, small_world):

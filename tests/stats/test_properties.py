@@ -18,6 +18,12 @@ reproduce exactly.
    must be idempotent (a cache's own export folds back in as a no-op)
    and commutative at the contents level (random worker manifests merged
    in any interleaving converge on identical entries).
+
+3. **Tight-size witnesses are certified, not trusted** — the search's own
+   answer always passes :func:`~repro.stats.tight_bounds.certify_sample_size`,
+   and a tampered witness in a warm manifest is either rejected or never
+   consulted: the plan a restore derives is bit-identical to a cold
+   search whatever the manifest claims.
 """
 
 from __future__ import annotations
@@ -29,14 +35,18 @@ import pytest
 
 import repro.stats.cache as cache_mod
 from repro.stats.batch import exact_coverage_failure_probability_pairs
+from repro.core.estimators.api import SampleSizeEstimator, tight_size_witnesses
 from repro.stats.cache import (
     MANIFEST_FORMAT,
     LRUCache,
     all_cache_info,
+    clear_all_caches,
     export_manifest,
     merge_manifest,
     register_cache,
+    warm_after_restore,
 )
+from repro.stats.tight_bounds import certify_sample_size
 
 TRIAL_SEEDS = range(10)
 
@@ -283,3 +293,81 @@ def test_full_registry_manifest_self_merge_is_a_no_op():
     before = all_cache_info()
     merge_manifest(exported)
     assert all_cache_info() == before
+
+
+# ---------------------------------------------------------------------------
+# 3. Tight-size witness certification
+# ---------------------------------------------------------------------------
+
+
+def _plan_bits(plan) -> list:
+    """Every float a plan's consumers read, as ``float.hex``."""
+    return [plan.delta.hex()] + [
+        (p.samples.hex(), p.delta.hex(), tuple(t.samples.hex() for t in p.terms))
+        for p in plan.clause_plans
+    ]
+
+
+def _tight_counts() -> tuple[int, int, int]:
+    info = all_cache_info()
+    searches = info["stats.tight_bounds.tight_sample_size"]
+    return info["stats.tight_bounds.exceeds_delta"].misses, searches.hits, searches.misses
+
+
+def test_tampered_witnesses_are_rejected_or_never_consulted():
+    def trial(rng: random.Random) -> None:
+        request = {
+            "condition": f"n > 0.5 +/- {round(rng.uniform(0.04, 0.12), 4)}",
+            "delta": 10 ** rng.uniform(-4.0, -1.5),
+            "adaptivity": rng.choice(["none", "firstChange"]),
+            "steps": rng.randrange(1, 9),
+            "known_variance_bound": None,
+            "estimator": SampleSizeEstimator(use_exact_binomial=True).export_config(),
+        }
+
+        def restored_plan():
+            return SampleSizeEstimator.from_config(request["estimator"]).plan(
+                request["condition"],
+                delta=request["delta"],
+                adaptivity=request["adaptivity"],
+                steps=request["steps"],
+            )
+
+        clear_all_caches()
+        cold = restored_plan()
+        ((epsilon, delta, n),) = tight_size_witnesses(cold)
+
+        # The search's own answer always passes, with exactly two probes;
+        # a memoized key is never probed again.
+        clear_all_caches()
+        assert certify_sample_size(epsilon, delta, n)
+        assert _tight_counts() == (2, 0, 0)
+        assert certify_sample_size(epsilon, delta, n)
+        assert _tight_counts() == (2, 0, 0)
+
+        clear_all_caches()
+        warm_after_restore({"plans": [dict(request, tight_sizes=[[epsilon, delta, n]])]})
+        assert _plan_bits(restored_plan()) == _plan_bits(cold)
+        assert _tight_counts() == (2, 1, 0)
+
+        tampered = [
+            [epsilon, delta, n + 1],
+            [epsilon, delta, n - 1],
+            [epsilon * (1.0 + rng.uniform(0.01, 0.3)), delta, n],
+            [epsilon, delta * rng.uniform(0.1, 0.9), n],
+            [epsilon, delta, 0],
+            [epsilon, delta, -rng.randrange(1, 10_000)],
+            [epsilon, delta, float(n)],
+            [epsilon, delta, str(n)],
+            [epsilon, delta, True],
+        ]
+        for witness in tampered:
+            clear_all_caches()
+            warm_after_restore({"plans": [dict(request, tight_sizes=[witness])]})
+            assert _plan_bits(restored_plan()) == _plan_bits(cold), witness
+            # The plan's own key missed: a full search ran, so the
+            # tampered witness answered nothing.
+            assert _tight_counts()[1:] == (0, 1), witness
+
+    for seed in TRIAL_SEEDS:
+        _seeded(trial, seed)
