@@ -116,8 +116,10 @@ PAIRS_ELEMENTS = 1024
 PAIRS_BASE_N = 200_000
 
 
-def _timed(fn, *, repeats: int = 3, cold: bool = True) -> tuple[float, object]:
-    """Median wall time over ``repeats`` runs (caches cleared when cold)."""
+def _timed(
+    fn, *, repeats: int = 3, cold: bool = True, reduce=statistics.median
+) -> tuple[float, object]:
+    """``reduce`` (median) of ``repeats`` wall times; cold clears caches first."""
     times, result = [], None
     for _ in range(repeats):
         if cold:
@@ -125,7 +127,7 @@ def _timed(fn, *, repeats: int = 3, cold: bool = True) -> tuple[float, object]:
         t0 = time.perf_counter()
         result = fn()
         times.append(time.perf_counter() - t0)
-    return statistics.median(times), result
+    return reduce(times), result
 
 
 def bench_worst_case(cases=WORST_CASES) -> list[dict]:
@@ -180,21 +182,13 @@ def bench_tight_sample_size(cases=TIGHT_CASES) -> list[dict]:
 
 def bench_certify_vs_search(cases=CERTIFY_CASES) -> list[dict]:
     """Cold search vs. cold certification of its answer, best of 3 each."""
-
-    def best_of_3(fn) -> tuple[float, object]:
-        times, result = [], None
-        for _ in range(3):
-            clear_all_caches()
-            t0 = time.perf_counter()
-            result = fn()
-            times.append(time.perf_counter() - t0)
-        return min(times), result
-
     rows = []
     for case in cases:
         eps, delta = case["epsilon"], case["delta"]
-        t_search, n = best_of_3(lambda: tight_sample_size(eps, delta))
-        t_certify, certified = best_of_3(lambda: certify_sample_size(eps, delta, n))
+        t_search, n = _timed(lambda: tight_sample_size(eps, delta), reduce=min)
+        t_certify, certified = _timed(
+            lambda: certify_sample_size(eps, delta, n), reduce=min
+        )
         rows.append(
             {
                 **case,

@@ -550,9 +550,10 @@ class CIEngine:
         of the plan this engine holds, as witnesses the warmer re-proves
         instead of searching again.
         """
+        tight_sizes = tight_size_witnesses(self.plan)
         return {
             "plans": [
-                dict(request, tight_sizes=tight_size_witnesses(self.plan))
+                dict(request, tight_sizes=tight_sizes)
                 for request in self._planner.plan_requests(self.script)
             ]
         }
